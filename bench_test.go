@@ -7,6 +7,7 @@ package cash
 // numbers alongside the incidental wall-clock cost of simulation.
 
 import (
+	"context"
 	"flag"
 	"testing"
 
@@ -14,6 +15,7 @@ import (
 	"cash/internal/core"
 	"cash/internal/ldt"
 	"cash/internal/netsim"
+	"cash/internal/serve"
 	"cash/internal/workload"
 	"cash/internal/x86seg"
 )
@@ -42,7 +44,7 @@ func BenchmarkTable1Kernels(b *testing.B) {
 			var cmp *core.Comparison
 			var err error
 			for i := 0; i < b.N; i++ {
-				cmp, err = core.Compare(w.Name, w.Source, core.Options{SegRegs: 4, Tier2: *benchTier2})
+				cmp, err = core.CompareStrategies(w.Name, w.Source, core.CompareConfig{Options: core.Options{SegRegs: 4, Tier2: *benchTier2}})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -63,7 +65,7 @@ func BenchmarkAblationSegRegs(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				worst, sum, swTotal = 0, 0, 0
 				for _, w := range workload.Kernels() {
-					cmp, err := core.Compare(w.Name, w.Source, core.Options{SegRegs: regs})
+					cmp, err := core.CompareStrategies(w.Name, w.Source, core.CompareConfig{Options: core.Options{SegRegs: regs}})
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -84,10 +86,11 @@ func BenchmarkAblationSegRegs(b *testing.B) {
 
 // BenchmarkTable2CodeSize regenerates Table 2: kernel binary sizes.
 func BenchmarkTable2CodeSize(b *testing.B) {
+	eng := serve.NewEngine(serve.EngineConfig{})
 	var tab *bench.Table
 	var err error
 	for i := 0; i < b.N; i++ {
-		tab, err = bench.Table2()
+		tab, err = bench.TableByID(context.Background(), eng, bench.Config{}, "table2", 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -114,7 +117,7 @@ func BenchmarkTable3Scaling(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				for j, n := range s.sizes {
 					w := s.mk(n)
-					cmp, err := core.Compare(w.Name, w.Source, core.Options{SegRegs: 4})
+					cmp, err := core.CompareStrategies(w.Name, w.Source, core.CompareConfig{Options: core.Options{SegRegs: 4}})
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -156,7 +159,7 @@ func BenchmarkTable5Macro(b *testing.B) {
 			var cmp *core.Comparison
 			var err error
 			for i := 0; i < b.N; i++ {
-				cmp, err = core.Compare(w.Name, w.Source, core.Options{})
+				cmp, err = core.CompareStrategies(w.Name, w.Source, core.CompareConfig{Options: core.Options{}})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -185,13 +188,14 @@ func BenchmarkTable7Characteristics(b *testing.B) {
 // BenchmarkTable8Network regenerates Table 8: per-application latency,
 // throughput and space penalties under the process-per-request server.
 func BenchmarkTable8Network(b *testing.B) {
+	eng := serve.NewEngine(serve.EngineConfig{})
 	for _, w := range workload.NetworkApps() {
 		w := w
 		b.Run(w.Name, func(b *testing.B) {
 			var rep *netsim.AppReport
 			var err error
 			for i := 0; i < b.N; i++ {
-				rep, err = netsim.Measure(w, 200, core.Options{})
+				rep, err = netsim.MeasureContext(context.Background(), eng, w, 200, core.Options{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -336,7 +340,7 @@ func BenchmarkSimulator(b *testing.B) {
 func BenchmarkSecurityOnlyMode(b *testing.B) {
 	w := workload.MatMul(32)
 	run := func(skipReads bool) float64 {
-		cmp, err := core.Compare(w.Name, w.Source, core.Options{SkipReadChecks: skipReads})
+		cmp, err := core.CompareStrategies(w.Name, w.Source, core.CompareConfig{Options: core.Options{SkipReadChecks: skipReads}})
 		if err != nil {
 			b.Fatal(err)
 		}

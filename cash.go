@@ -33,17 +33,18 @@
 //	fmt.Printf("Cash +%.1f%%, MPX +%.1f%%\n",
 //		cmp.OverheadPct("cash"), cmp.OverheadPct("mpx"))
 //
-// Regenerate a paper table:
-//
-//	tab, err := cash.Table("table1")
-//	fmt.Print(tab.Format())
-//
-// Serve many requests through one Engine — compiled artifacts are
-// cached under a content hash, deterministic executions are served
-// from a run cache, machines are pooled, and admission control bounds
-// in-flight work:
+// Everything beyond one build and one run goes through an Engine:
+// compiled artifacts are cached under a content hash, deterministic
+// executions are served from a run cache, machines are pooled, and
+// admission control bounds in-flight work. Regenerate a paper table
+// (the zero BenchConfig is the paper's exact replication):
 //
 //	eng := cash.NewEngine(cash.EngineConfig{})
+//	tab, err := eng.Table(ctx, cash.BenchConfig{}, "table1", 0)
+//	fmt.Print(tab.Format())
+//
+// or serve individual requests:
+//
 //	art, err := eng.BuildContext(ctx, src, cash.ModeCash, cash.Options{})
 //	res, err := eng.RunContext(ctx, art)
 package cash
@@ -62,8 +63,8 @@ import (
 	"cash/internal/workload"
 )
 
-// Default chaos-plane parameters for Table("resilience"); cmd/cashbench
-// overrides them with -chaos-seed and -chaos-rate.
+// Default chaos-plane parameters of the "resilience" table;
+// cmd/cashbench overrides them with -chaos-seed and -chaos-rate.
 const (
 	DefaultChaosSeed uint64  = chaos.DefaultSeed
 	DefaultChaosRate float64 = chaos.DefaultRate
@@ -192,16 +193,6 @@ func CompareStrategies(name, source string, cfg CompareConfig) (*Comparison, err
 	return core.CompareStrategies(name, source, cfg)
 }
 
-// Compare builds and runs source under GCC, BCC and Cash and reports
-// cycles, check counts and code sizes. It fails if the program output
-// differs between modes or a bound violation occurs.
-//
-// Deprecated: Use CompareStrategies, which accepts any registered
-// strategy set. This wrapper keeps working and compares gcc, bcc, cash.
-func Compare(name, source string, opts Options) (*Comparison, error) {
-	return core.Compare(name, source, opts)
-}
-
 // Characterize computes the static loop/array statistics of a program
 // under the given segment-register budget.
 func Characterize(source string, segRegBudget int) (LoopCharacteristics, error) {
@@ -215,9 +206,9 @@ func MeasureOverheadConstants() (OverheadConstants, error) {
 }
 
 // EngineConfig tunes a serving Engine. The zero value gives the
-// defaults: a 64 MiB artifact/run cache, an 8-machine pool, in-flight
-// admission bounded by the parallelism budget, and the process-wide
-// parallelism and event-trace settings.
+// defaults: a 64 MiB artifact/run cache, an 8-machine pool, a worker
+// budget of GOMAXPROCS, in-flight admission bounded by that budget, and
+// no event trace.
 type EngineConfig = serve.EngineConfig
 
 // Engine is the serving runtime: it owns every piece of cross-request
@@ -230,10 +221,9 @@ type EngineConfig = serve.EngineConfig
 // operation takes a context and honors cancellation between simulated
 // basic blocks.
 //
-// Engines are independent: each owns its own cache, pool and admission
-// state, so a misbehaving tenant cannot evict another Engine's
-// artifacts. Package-level helpers (Build, Compare, Table, AllTables)
-// serve through a shared process-default Engine.
+// Engines are independent: each owns its own cache, pool, admission
+// state and worker budget, so a misbehaving tenant cannot evict another
+// Engine's artifacts. Create Engines with NewEngine or OpenEngine.
 type Engine struct {
 	eng *serve.Engine
 }
@@ -256,37 +246,21 @@ func OpenEngine(cfg EngineConfig) (*Engine, error) {
 	return &Engine{eng: eng}, nil
 }
 
-// runtime returns the underlying serving engine, falling back to the
-// process-default one for a nil receiver.
-func (e *Engine) runtime() *serve.Engine {
-	if e == nil || e.eng == nil {
-		return serve.Default()
-	}
-	return e.eng
-}
-
 // ErrEngineClosed is returned by every Engine method after Close: the
 // engine rejects new work instead of queuing it forever.
 var ErrEngineClosed = serve.ErrEngineClosed
 
 // Close shuts the Engine down: new work is rejected with
 // ErrEngineClosed, queued requests fail immediately, and Close blocks
-// until in-flight requests have drained. It is idempotent. Closing a
-// nil or zero Engine is a no-op — the shared process-default engine is
-// never closed through a wrapper.
-func (e *Engine) Close() error {
-	if e == nil || e.eng == nil {
-		return nil
-	}
-	return e.eng.Close()
-}
+// until in-flight requests have drained. It is idempotent.
+func (e *Engine) Close() error { return e.eng.Close() }
 
 // BuildContext is Build through the Engine: the compiled artifact is
 // cached under a content hash of (source, mode, options), concurrent
 // identical builds are coalesced into one compile, and ctx cancels the
 // wait for an in-flight build.
 func (e *Engine) BuildContext(ctx context.Context, source string, mode Mode, opts Options) (*Artifact, error) {
-	return e.runtime().BuildContext(ctx, source, mode, opts)
+	return e.eng.BuildContext(ctx, source, mode, opts)
 }
 
 // RunContext executes an artifact on a pooled machine under admission
@@ -294,64 +268,80 @@ func (e *Engine) BuildContext(ctx context.Context, source string, mode Mode, opt
 // ctx cancels a queued request and interrupts a running simulation
 // between basic blocks, returning ctx.Err().
 func (e *Engine) RunContext(ctx context.Context, art *Artifact) (*RunResult, error) {
-	return e.runtime().RunContext(ctx, art)
+	return e.eng.RunContext(ctx, art)
 }
 
 // CompareStrategiesContext is CompareStrategies through the Engine:
 // every strategy's build and run is cached, pooled and
 // admission-controlled like any other request.
 func (e *Engine) CompareStrategiesContext(ctx context.Context, name, source string, cfg CompareConfig) (*Comparison, error) {
-	return e.runtime().CompareStrategiesContext(ctx, name, source, cfg)
+	return e.eng.CompareStrategiesContext(ctx, name, source, cfg)
 }
 
-// CompareContext is Compare through the Engine: the three builds and
-// runs are cached, pooled and admission-controlled like any other
-// request.
-//
-// Deprecated: Use CompareStrategiesContext, which accepts any
-// registered strategy set. This wrapper keeps working and compares
-// gcc, bcc, cash.
-func (e *Engine) CompareContext(ctx context.Context, name, source string, opts Options) (*Comparison, error) {
-	return e.runtime().CompareContext(ctx, name, source, opts)
+// BenchConfig is the harness configuration the table generators
+// compile and run under: IR passes applied to every experiment, tier-2
+// execution, and the strategy-matrix filter. The zero value is the
+// paper's exact replication; the checked-in goldens pin both it and
+// Passes rce,hoist, and tier-2 must reproduce them byte for byte.
+// Validate rejects unknown strategy names.
+type BenchConfig = bench.Config
+
+// Table regenerates one registered table by id (see Tables) under cfg.
+// requests sets the client workload of the network experiments (0 means
+// the paper's 2000); the other tables ignore it. An unknown id yields an
+// error listing every valid id.
+func (e *Engine) Table(ctx context.Context, cfg BenchConfig, id string, requests int) (*ResultTable, error) {
+	return bench.TableByID(ctx, e.eng, cfg, id, requests)
 }
 
-// Table regenerates one registered table by id (see Tables). requests
-// sets the client workload of the network experiments (0 means the
-// paper's 2000); the other tables ignore it.
-func (e *Engine) Table(ctx context.Context, id string, requests int) (*ResultTable, error) {
-	return bench.TableByID(ctx, e.runtime(), id, requests)
+// AllTablesTimed regenerates every table that `cashbench -all` prints,
+// under cfg, with per-table host timings. Tables are produced one at a
+// time; the independent experiments inside each (its rows) run
+// concurrently up to the Engine's worker budget, and results are
+// identical at any budget. Repeated calls on one Engine serve builds
+// from the artifact cache and repeated deterministic executions from the
+// run cache, producing byte-identical tables at a fraction of the cold
+// cost.
+func (e *Engine) AllTablesTimed(ctx context.Context, cfg BenchConfig, requests int) ([]*ResultTable, []TableTiming, error) {
+	return bench.AllTablesTimedContext(ctx, e.eng, cfg, requests)
 }
 
-// AllTables regenerates every table that `cashbench -all` prints.
-// Repeated calls on one Engine serve builds from the artifact cache
-// and repeated deterministic executions from the run cache, producing
-// byte-identical tables at a fraction of the cold cost.
-func (e *Engine) AllTables(ctx context.Context, requests int) ([]*ResultTable, error) {
-	return bench.AllTablesContext(ctx, e.runtime(), requests)
+// ResilienceTable renders the resilience experiment for every network
+// application with the given chaos parameters (see cmd/cashbench -table
+// resilience). It measures on a fresh private Engine that takes only
+// this Engine's worker budget and event trace, so its metrics delta is a
+// pure function of (requests, rc).
+func (e *Engine) ResilienceTable(ctx context.Context, cfg BenchConfig, requests int, rc ResilienceConfig) (*ResultTable, error) {
+	return bench.ResilienceTableContext(ctx, e.eng, cfg, requests, rc.Seed, rc.Rate)
 }
 
-// AllTablesTimed is AllTables plus per-table host timings.
-func (e *Engine) AllTablesTimed(ctx context.Context, requests int) ([]*ResultTable, []TableTiming, error) {
-	return bench.AllTablesTimedContext(ctx, e.runtime(), requests)
-}
-
-// MeasureNetworkApp is MeasureNetworkApp through the Engine.
+// MeasureNetworkApp runs the paper's §4.4 experiment for one network
+// application through the Engine: process-per-request latency,
+// throughput and space penalties of Cash over the unchecked baseline.
 func (e *Engine) MeasureNetworkApp(ctx context.Context, w Workload, requests int, opts Options) (*AppReport, error) {
-	return netsim.MeasureContext(ctx, e.runtime(), w, requests, opts)
+	return netsim.MeasureContext(ctx, e.eng, w, requests, opts)
 }
 
-// MeasureResilience is MeasureResilienceWith through the Engine.
+// MeasureResilience runs one network application's resilient server
+// through the Engine under deterministic fault injection: requests
+// picked by a PRNG seeded with (cfg.Seed, request index) suffer one of
+// seven injected faults — transient modify_ldt failures, LDT
+// exhaustion, descriptor or shadow free-list corruption, page-table
+// unmap races, malformed requests, runaway handlers — and the server
+// retries, sheds, degrades to flat segments (§3.4) or detects, but
+// never crashes. Identical configs reproduce the report exactly.
 func (e *Engine) MeasureResilience(ctx context.Context, w Workload, requests int, opts Options, cfg ResilienceConfig) (*ResilienceReport, error) {
-	return netsim.MeasureResilienceContext(ctx, e.runtime(), w, requests, opts,
+	return netsim.MeasureResilienceContext(ctx, e.eng, w, requests, opts,
 		chaos.NewPlan(chaos.Config{Seed: cfg.Seed, Rate: cfg.Rate}))
 }
 
 // Figure1Trace renders the Figure 1 address-translation pipeline
-// through the Engine. The build is cached; the traced execution always
+// (segmentation then paging) for a small traced program, through the
+// Engine. The build is cached; the traced execution always
 // re-simulates, because attaching a trace makes the run observably
 // different.
 func (e *Engine) Figure1Trace(ctx context.Context) (string, error) {
-	return bench.Figure1TraceContext(ctx, e.runtime())
+	return bench.Figure1TraceContext(ctx, e.eng)
 }
 
 // Workloads returns the paper's full benchmark suite: 6 kernels
@@ -361,13 +351,6 @@ func Workloads() []Workload { return workload.All() }
 
 // WorkloadByName finds one benchmark program.
 func WorkloadByName(name string) (Workload, bool) { return workload.ByName(name) }
-
-// MeasureNetworkApp runs the paper's §4.4 experiment for one network
-// application: process-per-request latency, throughput and space
-// penalties of Cash over the unchecked baseline.
-func MeasureNetworkApp(w Workload, requests int, opts Options) (*AppReport, error) {
-	return netsim.Measure(w, requests, opts)
-}
 
 // ResilienceConfig parameterises the deterministic chaos plane of the
 // resilience experiment. The zero value injects nothing (rate 0); use
@@ -386,50 +369,21 @@ func DefaultResilienceConfig() ResilienceConfig {
 	return ResilienceConfig{Seed: DefaultChaosSeed, Rate: DefaultChaosRate}
 }
 
-// MeasureResilienceWith runs one network application's resilient server
-// under deterministic fault injection: requests picked by a PRNG seeded
-// with (cfg.Seed, request index) suffer one of seven injected faults —
-// transient modify_ldt failures, LDT exhaustion, descriptor or shadow
-// free-list corruption, page-table unmap races, malformed requests,
-// runaway handlers — and the server retries, sheds, degrades to flat
-// segments (§3.4) or detects, but never crashes. Identical configs
-// reproduce the report exactly.
-func MeasureResilienceWith(w Workload, requests int, opts Options, cfg ResilienceConfig) (*ResilienceReport, error) {
-	return netsim.MeasureResilience(w, requests, opts,
-		chaos.NewPlan(chaos.Config{Seed: cfg.Seed, Rate: cfg.Rate}))
-}
-
-// MeasureResilience is MeasureResilienceWith with the chaos parameters
-// spelled positionally.
-//
-// Deprecated: Use MeasureResilienceWith (or Engine.MeasureResilience
-// for cancellation), which names the chaos parameters in a
-// ResilienceConfig instead of a positional (seed, rate) tail.
-func MeasureResilience(w Workload, requests int, opts Options, seed uint64, rate float64) (*ResilienceReport, error) {
-	return MeasureResilienceWith(w, requests, opts, ResilienceConfig{Seed: seed, Rate: rate})
-}
-
-// ResilienceTable renders the resilience experiment for every network
-// application (see cmd/cashbench -table resilience).
-func ResilienceTable(requests int, seed uint64, rate float64) (*ResultTable, error) {
-	return bench.ResilienceTable(requests, seed, rate)
-}
-
 // TableSpec describes one registered table of the paper's evaluation.
 // The registry (Tables) is the single source of truth for table ids:
-// Table, TableIDs, AllTables ordering, `cashbench -list` and the
-// unknown-id error all derive from it.
+// Engine.Table, TableIDs, AllTablesTimed ordering, `cashbench -list`
+// and the unknown-id error all derive from it.
 type TableSpec struct {
-	// ID is the stable identifier accepted by Table (e.g. "table1").
+	// ID is the stable identifier Engine.Table accepts (e.g. "table1").
 	ID string
 	// Caption is a one-line description for listings.
 	Caption string
-	// InAll reports whether AllTables regenerates this table. The
+	// InAll reports whether AllTablesTimed regenerates this table. The
 	// resilience table is excluded: the paper's tables are chaos-free.
 	InAll bool
-	// Generate produces the table through an Engine (nil uses the
-	// process default). Generators measuring the network experiment
-	// honor requests (0 means the paper's 2000); the rest ignore it.
+	// Generate produces the table through an Engine under the zero
+	// BenchConfig. Generators measuring the network experiment honor
+	// requests (0 means the paper's 2000); the rest ignore it.
 	Generate func(ctx context.Context, eng *Engine, requests int) (*ResultTable, error)
 }
 
@@ -448,86 +402,35 @@ func Tables() []TableSpec {
 				if requests <= 0 {
 					requests = netsim.DefaultRequests
 				}
-				return sp.Generate(ctx, eng.runtime(), requests)
+				return sp.Generate(ctx, eng.eng, requests)
 			},
 		}
 	}
 	return out
 }
 
-// Table regenerates one of the paper's tables or analyses by id, via
-// the process-default Engine. Valid ids are those of Tables:
+// TableIDs lists the ids accepted by Engine.Table, in paper order:
 //
 //	table1 table2 table3 table4 table5 table6 table7 table8 table8bcc
 //	ablation-segregs bound detectors constants ldt cache segments figure2
-//	resilience
-//
-// An unknown id yields an error listing every valid id.
-func Table(id string) (*ResultTable, error) {
-	return bench.TableByID(context.Background(), serve.Default(), id, 0)
-}
-
-// TableIDs lists the ids accepted by Table, in paper order.
+//	ablation-passes ablation-affine strategy-matrix resilience
 func TableIDs() []string { return bench.TableIDs() }
-
-// AllTables regenerates every table with the given request count for the
-// network experiment. Tables are produced one at a time, but the
-// independent experiments inside each (its rows) run concurrently up to
-// the SetParallelism budget; results are identical at any setting.
-func AllTables(requests int) ([]*ResultTable, error) { return bench.AllTables(requests) }
 
 // TableTiming is the host-side cost of producing one table: wall-clock
 // nanoseconds plus the simulated instructions and cycles run on its
 // behalf.
 type TableTiming = bench.Timing
 
-// AllTablesTimed is AllTables plus per-table host timings.
-func AllTablesTimed(requests int) ([]*ResultTable, []TableTiming, error) {
-	return bench.AllTablesTimed(requests)
-}
-
-// SetBenchPasses configures the IR optimization passes every table
-// generator compiles with (see PassNames; nil restores the
-// exact-replication default of none). `cashbench -passes rce,hoist`
-// regenerates the whole suite under the optimizing back end; the
-// checked-in goldens pin both settings.
-func SetBenchPasses(passes []string) { bench.SetPasses(passes) }
-
-// SetBenchStrategies restricts the strategy-matrix table to the named
-// checking strategies (`cashbench -table strategy-matrix -strategy
-// mpx`); nil restores the full-registry sweep. Unknown names are
-// rejected with an error listing the valid ones (see Strategies).
-func SetBenchStrategies(names []string) error {
-	_, err := bench.SetStrategyFilter(names)
-	return err
-}
-
-// SetBenchTier2 switches every table generator onto the tier-2
-// superblock engine (`cashbench -tier2`). Tier-2 execution is
-// output-identical to step execution, so the goldens must not change —
-// CI diffs the tier-2 suite against the same goldens to prove it.
-func SetBenchTier2(on bool) { bench.SetTier2(on) }
-
-// KernelTiming is one Table 1 kernel's measured host cost under the
-// current bench configuration (see SetBenchPasses / SetBenchTier2).
+// KernelTiming is one Table 1 kernel's measured host cost under a
+// BenchConfig.
 type KernelTiming = bench.KernelTiming
 
-// KernelHostTimings times `runs` complete executions of each Table 1
-// kernel and reports the median host ns per run — the per-kernel block
-// `cashbench -json` emits for BENCH_*.json records.
-func KernelHostTimings(runs int) ([]KernelTiming, error) { return bench.KernelHostTimings(runs) }
-
-// SetParallelism bounds how many experiments the benchmark harness runs
-// concurrently (default: GOMAXPROCS). 1 forces sequential execution.
-//
-// Deprecated: Use EngineConfig.Parallelism to give each Engine its own
-// budget instead of mutating process-wide state. This setting keeps
-// working: an Engine whose config leaves Parallelism zero honors it.
-func SetParallelism(n int) { bench.SetParallelism(n) }
-
-// Figure1Trace renders the Figure 1 address-translation pipeline
-// (segmentation then paging) for a small traced program.
-func Figure1Trace() (string, error) { return bench.Figure1Trace() }
+// KernelHostTimings builds each Table 1 kernel under cfg, times `runs`
+// complete executions and reports the median host ns per run — the
+// per-kernel block `cashbench -json` emits for BENCH_*.json records.
+func KernelHostTimings(cfg BenchConfig, runs int) ([]KernelTiming, error) {
+	return bench.KernelHostTimings(cfg, runs)
+}
 
 // MetricsSnapshot is a point-in-time copy of the process-wide metrics
 // registry: named counters and gauges plus latency histograms. Snapshots
@@ -539,7 +442,7 @@ type MetricsSnapshot = obs.Snapshot
 // simulator's layers (vm, paging, ldt, core, netsim) publish into. Take
 // a snapshot before and after an experiment and Delta them; because
 // every published metric is commutative across goroutines, the delta is
-// identical at any SetParallelism budget.
+// identical at any Engine worker budget.
 func Metrics() MetricsSnapshot { return obs.Default().Snapshot() }
 
 // EventTrace is a bounded ring buffer of structured machine events:
@@ -554,15 +457,6 @@ type TraceEvent = obs.Event
 
 // NewEventTrace returns a trace retaining up to capacity events
 // (0 means the default capacity). Attach it to machine runs with
-// Options.EventTrace, or install it process-wide with
-// SetDefaultEventTrace for producers without an options path.
+// Options.EventTrace, or to an Engine's serving decisions with
+// EngineConfig.EventTrace.
 func NewEventTrace(capacity int) *EventTrace { return obs.NewTrace(capacity) }
-
-// SetDefaultEventTrace installs (or, with nil, removes) the process-wide
-// event trace — the one the netsim resilient server emits into — and
-// returns the previous one.
-//
-// Deprecated: Use EngineConfig.EventTrace to scope a trace to one
-// Engine instead of mutating process-wide state. This setting keeps
-// working: an Engine whose config leaves EventTrace nil emits into it.
-func SetDefaultEventTrace(tr *EventTrace) *EventTrace { return obs.SetDefaultTrace(tr) }

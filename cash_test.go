@@ -5,6 +5,8 @@ import (
 	"errors"
 	"strings"
 	"testing"
+
+	"cash/internal/minic"
 )
 
 const demoOverflow = `
@@ -44,7 +46,7 @@ func TestPublicBuildRunCatchesOverflow(t *testing.T) {
 }
 
 func TestPublicCompare(t *testing.T) {
-	cmp, err := Compare("demo", demoSafe, Options{})
+	cmp, err := CompareStrategies("demo", demoSafe, CompareConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,8 +66,10 @@ func TestPublicWorkloads(t *testing.T) {
 }
 
 func TestPublicTableDispatch(t *testing.T) {
+	eng := NewEngine(EngineConfig{})
+	ctx := context.Background()
 	for _, id := range []string{"constants", "ldt", "figure2"} {
-		tab, err := Table(id)
+		tab, err := eng.Table(ctx, BenchConfig{}, id, 0)
 		if err != nil {
 			t.Fatalf("%s: %v", id, err)
 		}
@@ -73,7 +77,7 @@ func TestPublicTableDispatch(t *testing.T) {
 			t.Fatalf("%s: empty table", id)
 		}
 	}
-	if _, err := Table("table99"); err == nil {
+	if _, err := eng.Table(ctx, BenchConfig{}, "table99", 0); err == nil {
 		t.Fatal("unknown table id must error")
 	}
 	if len(TableIDs()) != 21 {
@@ -109,7 +113,7 @@ func TestPublicCharacterize(t *testing.T) {
 }
 
 func TestPublicFigure1Trace(t *testing.T) {
-	trace, err := Figure1Trace()
+	trace, err := NewEngine(EngineConfig{}).Figure1Trace(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +127,7 @@ func TestPublicNetworkMeasure(t *testing.T) {
 	if !ok {
 		t.Fatal("bind missing")
 	}
-	rep, err := MeasureNetworkApp(w, 100, Options{})
+	rep, err := NewEngine(EngineConfig{}).MeasureNetworkApp(context.Background(), w, 100, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,12 +162,13 @@ func TestPublicTablesRegistry(t *testing.T) {
 			t.Fatalf("%s: InAll = %v, want %v", sp.ID, sp.InAll, wantInAll)
 		}
 	}
-	// A spec generates through a nil Engine (process default).
+	// A spec generates through an explicit Engine.
+	eng := NewEngine(EngineConfig{})
 	sp, ok := specByID(t, "constants")
 	if !ok {
 		t.Fatal("constants spec missing")
 	}
-	tab, err := sp.Generate(context.Background(), nil, 0)
+	tab, err := sp.Generate(context.Background(), eng, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +176,7 @@ func TestPublicTablesRegistry(t *testing.T) {
 		t.Fatal("constants: empty table")
 	}
 	// The unknown-id error derives from the registry: it lists every id.
-	_, err = Table("table99")
+	_, err = eng.Table(context.Background(), BenchConfig{}, "table99", 0)
 	if err == nil {
 		t.Fatal("unknown table id must error")
 	}
@@ -210,7 +215,7 @@ func TestPublicEngineServes(t *testing.T) {
 	if res1.Cycles != res2.Cycles || len(res1.Output) != len(res2.Output) {
 		t.Fatal("cached run differs from real run")
 	}
-	cmp, err := eng.CompareContext(ctx, "demo", demoSafe, Options{})
+	cmp, err := eng.CompareStrategiesContext(ctx, "demo", demoSafe, CompareConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +227,7 @@ func TestPublicEngineServes(t *testing.T) {
 	if _, err := eng.RunContext(canceled, art); !errors.Is(err, context.Canceled) {
 		t.Fatalf("canceled run: err = %v, want context.Canceled", err)
 	}
-	if _, err := eng.Table(ctx, "table99", 0); err == nil {
+	if _, err := eng.Table(ctx, BenchConfig{}, "table99", 0); err == nil {
 		t.Fatal("engine lookup of unknown table id must error")
 	}
 }
@@ -231,5 +236,29 @@ func TestPublicResilienceConfig(t *testing.T) {
 	cfg := DefaultResilienceConfig()
 	if cfg.Seed != DefaultChaosSeed || cfg.Rate != DefaultChaosRate {
 		t.Fatalf("DefaultResilienceConfig = %+v, want seed %d rate %v", cfg, DefaultChaosSeed, DefaultChaosRate)
+	}
+}
+
+// TestPublicBuildRejectsDeepNesting: Build on an over-deep expression is
+// a typed compile error, never a fatal stack overflow — at the cap it
+// compiles, one level past it and at 2,000,000 levels it is rejected.
+func TestPublicBuildRejectsDeepNesting(t *testing.T) {
+	nested := func(parens int) string {
+		return "int x;\nvoid main() { x = " + strings.Repeat("(", parens) + "1" + strings.Repeat(")", parens) + "; }\n"
+	}
+	// The statement, the assignment and its operand are three levels.
+	if _, err := Build(nested(minic.MaxNesting-3), ModeCash, Options{}); err != nil {
+		t.Fatalf("at the cap: %v", err)
+	}
+	levels := []int{minic.MaxNesting - 2}
+	if !testing.Short() {
+		levels = append(levels, 2_000_000)
+	}
+	for _, parens := range levels {
+		_, err := Build(nested(parens), ModeCash, Options{})
+		var fe *minic.Error
+		if !errors.As(err, &fe) || !strings.Contains(fe.Msg, "nesting exceeds") {
+			t.Fatalf("%d parentheses: err = %v, want the typed nesting error", parens, err)
+		}
 	}
 }

@@ -33,8 +33,7 @@
 // The strategy-matrix table sweeps every registered checking strategy
 // (cashc -list-strategies) against every pass pipeline; -strategy
 // restricts the sweep to a comma-separated subset. An unknown name
-// fails with an error listing the valid ones. -mode is the deprecated
-// spelling of -strategy:
+// fails with an error listing the valid ones:
 //
 //	cashbench -table strategy-matrix -strategy mpx,bcc
 //
@@ -140,43 +139,20 @@ func run() (err error) {
 		passesFlag  = flag.String("passes", "", "comma-separated IR optimization passes (rce,hoist,affine,chop) applied to every experiment")
 		tier2       = flag.Bool("tier2", false, "execute every experiment through the tier-2 superblock engine (tables stay byte-identical)")
 		strategy    = flag.String("strategy", "", "comma-separated checking strategies restricting -table strategy-matrix (default: every registered strategy)")
-		modeFlag    = flag.String("mode", "", "deprecated alias for -strategy")
 		storeDir    = flag.String("store", "", "root a persistent on-disk artifact/run store at this directory (survives the process; a second run warm-starts from it)")
 		storeBudget = flag.Int64("store-budget", 0, "on-disk store byte budget (0 = 1 GiB default, negative = unlimited); only with -store")
 		snapshots   = flag.Bool("snapshots", false, "clone pre-warmed machines from copy-on-write snapshots instead of building each from scratch")
 	)
 	flag.Parse()
 
-	if sel := *strategy; sel != "" || *modeFlag != "" {
-		if sel == "" {
-			sel = *modeFlag
-		}
-		var names []string
-		for _, n := range strings.Split(sel, ",") {
-			if n = strings.TrimSpace(n); n != "" {
-				names = append(names, n)
-			}
-		}
-		if err := cash.SetBenchStrategies(names); err != nil {
-			return err
-		}
+	bcfg := cash.BenchConfig{
+		Passes:     splitList(*passesFlag),
+		Tier2:      *tier2,
+		Strategies: splitList(*strategy),
 	}
-
-	if *passesFlag != "" {
-		var passes []string
-		for _, p := range strings.Split(*passesFlag, ",") {
-			if p = strings.TrimSpace(p); p != "" {
-				passes = append(passes, p)
-			}
-		}
-		cash.SetBenchPasses(passes)
+	if err := bcfg.Validate(); err != nil {
+		return err
 	}
-	cash.SetBenchTier2(*tier2)
-
-	// The deprecated global still steers code without an Engine in hand
-	// (and Engines built with a zero Parallelism, like the resilience
-	// table's private one).
-	cash.SetParallelism(*parallel)
 
 	cfg := cash.EngineConfig{
 		Parallelism: *parallel,
@@ -258,9 +234,9 @@ func run() (err error) {
 			err error
 		)
 		if *table == "resilience" {
-			tab, err = cash.ResilienceTable(*requests, *chaosSeed, *chaosRate)
+			tab, err = eng.ResilienceTable(ctx, bcfg, *requests, cash.ResilienceConfig{Seed: *chaosSeed, Rate: *chaosRate})
 		} else {
-			tab, err = eng.Table(ctx, *table, *requests)
+			tab, err = eng.Table(ctx, bcfg, *table, *requests)
 		}
 		if err != nil {
 			return err
@@ -279,7 +255,7 @@ func run() (err error) {
 			timings []cash.TableTiming
 		)
 		for pass := 1; pass <= *repeat; pass++ {
-			tabs, tms, err := eng.AllTablesTimed(ctx, *requests)
+			tabs, tms, err := eng.AllTablesTimed(ctx, bcfg, *requests)
 			if err != nil {
 				return err
 			}
@@ -308,7 +284,7 @@ func run() (err error) {
 		if *jsonPath != "" {
 			// The per-kernel host timings run after the suite so their
 			// wall-clock measurement shares the host with nothing else.
-			kernels, kerr := cash.KernelHostTimings(5)
+			kernels, kerr := cash.KernelHostTimings(bcfg, 5)
 			if kerr != nil {
 				return kerr
 			}
@@ -322,6 +298,18 @@ func run() (err error) {
 		flag.Usage()
 		return fmt.Errorf("nothing to do: pass -all, -table, -figure1 or -list")
 	}
+}
+
+// splitList parses a comma-separated flag value; empty entries are
+// dropped and an empty value yields nil.
+func splitList(s string) []string {
+	var out []string
+	for _, v := range strings.Split(s, ",") {
+		if v = strings.TrimSpace(v); v != "" {
+			out = append(out, v)
+		}
+	}
+	return out
 }
 
 // writeHeapProfile captures the final live heap into path. The GC run

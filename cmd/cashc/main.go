@@ -8,8 +8,6 @@
 //	cashc [-strategy gcc|bcc|cash|mpx] [-segregs 2|3|4] [-size] file.c
 //	cashc -workload matmul40 -strategy cash
 //	cashc -list-strategies
-//
-// -mode is a deprecated alias for -strategy.
 package main
 
 import (
@@ -17,7 +15,6 @@ import (
 	"fmt"
 	"os"
 	"sort"
-	"strings"
 
 	"cash"
 )
@@ -31,8 +28,7 @@ func main() {
 
 func run() error {
 	var (
-		strategy = flag.String("strategy", "", "checking strategy (see -list-strategies); default cash")
-		modeName = flag.String("mode", "", "deprecated alias for -strategy")
+		strategy = flag.String("strategy", "cash", "checking strategy (see -list-strategies)")
 		segRegs  = flag.Int("segregs", 3, "segment register budget for cash mode (2, 3 or 4)")
 		sizeOnly = flag.Bool("size", false, "print only the code-size estimate")
 		wlName   = flag.String("workload", "", "compile a built-in workload instead of a file")
@@ -46,10 +42,7 @@ func run() error {
 		}
 		return nil
 	}
-	mode, err := pickStrategy(*strategy, *modeName)
-	if err != nil {
-		return err
-	}
+	mode := cash.Mode(*strategy)
 	source, name, err := loadSource(*wlName, flag.Args())
 	if err != nil {
 		return err
@@ -74,25 +67,6 @@ func run() error {
 		fmt.Printf("# %s: %d\n", k, stats[k])
 	}
 	return nil
-}
-
-// pickStrategy resolves the -strategy flag (with -mode as a deprecated
-// alias) against the strategy registry; empty means cash.
-func pickStrategy(strategy, mode string) (cash.Mode, error) {
-	s := strategy
-	if s == "" {
-		s = mode
-	}
-	if s == "" {
-		s = "cash"
-	}
-	for _, name := range cash.StrategyNames() {
-		if s == name {
-			return cash.Mode(s), nil
-		}
-	}
-	return "", fmt.Errorf("unknown strategy %q (valid: %s)",
-		s, strings.Join(cash.StrategyNames(), ", "))
 }
 
 func loadSource(wlName string, args []string) (source, name string, err error) {

@@ -18,7 +18,7 @@
 //	-rate R       aggregate arrival rate, requests/second (0 = all at once)
 //	-timeout D    per-request deadline (0 = none)
 //	-retries N    retry budget per request for sheds and transport faults
-//	-mode M       compiler mode: gcc, bcc, or cash (default cash)
+//	-strategy S   checking strategy of every request (default cash)
 package main
 
 import (
@@ -41,7 +41,7 @@ func main() {
 		perClient = flag.Int("per-client", srv.GoldenPerClient, "requests per client")
 		rate      = flag.Float64("rate", srv.GoldenRate, "aggregate arrival rate, requests/second")
 		seed      = flag.Uint64("seed", srv.GoldenSeed, "request-mix seed")
-		mode      = flag.String("mode", "cash", "compiler mode for every request")
+		strategy  = flag.String("strategy", "cash", "checking strategy for every request (see cashc -list-strategies)")
 		timeout   = flag.Duration("timeout", 0, "per-request deadline (0 = none)")
 		retries   = flag.Int("retries", 0, "retry budget per request")
 		workers   = flag.Int("workers", 16, "with -pipe: server worker pool size")
@@ -54,7 +54,7 @@ func main() {
 		PerClient: *perClient,
 		Rate:      *rate,
 		Seed:      *seed,
-		Mode:      *mode,
+		Mode:      *strategy,
 		Timeout:   *timeout,
 		Retries:   *retries,
 	}

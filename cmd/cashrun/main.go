@@ -8,8 +8,6 @@
 //	cashrun [-strategy gcc|bcc|cash|mpx] [-segregs N] [-passes rce,hoist,affine,chop] [-compare] [-trace] file.c
 //	cashrun -workload toast -compare
 //
-// -mode is a deprecated alias for -strategy.
-//
 // -passes enables IR optimization passes (-stats prints the static
 // codegen counters they affect; -dump-ir prints the optimized IR to
 // stderr before running).
@@ -31,6 +29,7 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"flag"
 	"fmt"
@@ -57,8 +56,7 @@ func main() {
 
 func run() (err error) {
 	var (
-		strategy = flag.String("strategy", "", "checking strategy: gcc, bcc, cash or mpx; default cash")
-		modeName = flag.String("mode", "", "deprecated alias for -strategy")
+		strategy = flag.String("strategy", "cash", "checking strategy: gcc, bcc, cash or mpx")
 		segRegs  = flag.Int("segregs", 3, "segment register budget for cash mode")
 		compare  = flag.Bool("compare", false, "run all three modes and compare")
 		trace    = flag.Bool("trace", false, "print the Figure-1 translation pipeline demo")
@@ -81,9 +79,7 @@ func run() (err error) {
 	var tr *cash.EventTrace
 	if *events || *eventsJS != "" {
 		tr = cash.NewEventTrace(0)
-		cash.SetDefaultEventTrace(tr)
 		defer func() {
-			cash.SetDefaultEventTrace(nil)
 			if *events {
 				fmt.Fprint(os.Stderr, tr.Format())
 			}
@@ -100,7 +96,7 @@ func run() (err error) {
 	}
 
 	if *trace {
-		out, err := cash.Figure1Trace()
+		out, err := cash.NewEngine(cash.EngineConfig{}).Figure1Trace(context.Background())
 		if err != nil {
 			return err
 		}
@@ -115,7 +111,7 @@ func run() (err error) {
 	opts := cash.Options{SegRegs: *segRegs, EventTrace: tr, Passes: splitPasses(*passes), Tier2: *tier2}
 
 	if *compare {
-		cmp, err := cash.Compare(name, source, opts)
+		cmp, err := cash.CompareStrategies(name, source, cash.CompareConfig{Options: opts})
 		if err != nil {
 			return err
 		}
@@ -130,10 +126,7 @@ func run() (err error) {
 		return nil
 	}
 
-	mode, err := pickStrategy(*strategy, *modeName)
-	if err != nil {
-		return err
-	}
+	mode := cash.Mode(*strategy)
 	art, err := cash.Build(source, mode, opts)
 	if err != nil {
 		return err
@@ -198,25 +191,6 @@ func splitPasses(s string) []string {
 		}
 	}
 	return out
-}
-
-// pickStrategy resolves the -strategy flag (with -mode as a deprecated
-// alias) against the strategy registry; empty means cash.
-func pickStrategy(strategy, mode string) (cash.Mode, error) {
-	s := strategy
-	if s == "" {
-		s = mode
-	}
-	if s == "" {
-		s = "cash"
-	}
-	for _, name := range cash.StrategyNames() {
-		if s == name {
-			return cash.Mode(s), nil
-		}
-	}
-	return "", fmt.Errorf("unknown strategy %q (valid: %s)",
-		s, strings.Join(cash.StrategyNames(), ", "))
 }
 
 func loadSource(wlName string, args []string) (source, name string, err error) {

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"reflect"
@@ -33,7 +34,15 @@ func run() error {
 		seed     = 1
 		rate     = 0.10
 	)
-	rep, err := cash.MeasureResilience(w, requests, cash.Options{}, seed, rate)
+	// Each run measures on a fresh Engine, so nothing but the seed and
+	// rate carries over from one run to the next.
+	measure := func(seed uint64) (*cash.ResilienceReport, error) {
+		eng := cash.NewEngine(cash.EngineConfig{})
+		defer eng.Close()
+		return eng.MeasureResilience(context.Background(), w, requests, cash.Options{},
+			cash.ResilienceConfig{Seed: seed, Rate: rate})
+	}
+	rep, err := measure(seed)
 	if err != nil {
 		return err
 	}
@@ -49,7 +58,7 @@ func run() error {
 	}
 
 	// Determinism: the same seed replays the exact same faults.
-	again, err := cash.MeasureResilience(w, requests, cash.Options{}, seed, rate)
+	again, err := measure(seed)
 	if err != nil {
 		return err
 	}
@@ -59,7 +68,7 @@ func run() error {
 	fmt.Println("\nsecond run with the same seed: identical report (deterministic replay)")
 
 	// A different seed injects a different fault schedule.
-	other, err := cash.MeasureResilience(w, requests, cash.Options{}, seed+1, rate)
+	other, err := measure(seed + 1)
 	if err != nil {
 		return err
 	}

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -22,8 +23,15 @@ func run() error {
 	if !ok {
 		return fmt.Errorf("matmul40 workload missing")
 	}
+	ctx := context.Background()
+	eng := cash.NewEngine(cash.EngineConfig{})
+	defer eng.Close()
+	compare := func(opts cash.Options) (*cash.Comparison, error) {
+		return eng.CompareStrategiesContext(ctx, w.Name, w.Source, cash.CompareConfig{Options: opts})
+	}
+
 	fmt.Println("== three compilers on 40x40 matrix multiplication ==")
-	cmp, err := cash.Compare(w.Name, w.Source, cash.Options{SegRegs: 4})
+	cmp, err := compare(cash.Options{SegRegs: 4})
 	if err != nil {
 		return err
 	}
@@ -36,7 +44,7 @@ func run() error {
 
 	fmt.Println("== segment-register budget sweep (3 arrays in the loop) ==")
 	for _, regs := range []int{2, 3, 4} {
-		cmp, err := cash.Compare(w.Name, w.Source, cash.Options{SegRegs: regs})
+		cmp, err := compare(cash.Options{SegRegs: regs})
 		if err != nil {
 			return err
 		}
@@ -47,7 +55,7 @@ func run() error {
 	fmt.Println()
 
 	fmt.Println("== input-size sweep (Table 3 shape: overhead falls with size) ==")
-	tab, err := cash.Table("table3")
+	tab, err := eng.Table(ctx, cash.BenchConfig{}, "table3", 0)
 	if err != nil {
 		return err
 	}

@@ -1,10 +1,23 @@
 package bench
 
 import (
+	"context"
 	"strconv"
 	"strings"
 	"testing"
+
+	"cash/internal/serve"
 )
+
+// testEng serves the package's table tests. Sharing one Engine means a
+// table several tests read is compiled and simulated once.
+var testEng = serve.NewEngine(serve.EngineConfig{})
+
+// genTable regenerates one registered table by id through testEng under
+// the zero Config (the paper's exact replication).
+func genTable(id string, requests int) (*Table, error) {
+	return TableByID(context.Background(), testEng, Config{}, id, requests)
+}
 
 func parsePct(t *testing.T, s string) float64 {
 	t.Helper()
@@ -16,7 +29,7 @@ func parsePct(t *testing.T, s string) float64 {
 }
 
 func TestTable1Shape(t *testing.T) {
-	tab, err := Table1(4)
+	tab, err := genTable("table1", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +59,7 @@ func TestTable1Shape(t *testing.T) {
 }
 
 func TestTable2Shape(t *testing.T) {
-	tab, err := Table2()
+	tab, err := genTable("table2", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +76,7 @@ func TestTable2Shape(t *testing.T) {
 }
 
 func TestTable3Decreasing(t *testing.T) {
-	tab, err := Table3()
+	tab, err := genTable("table3", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +90,7 @@ func TestTable3Decreasing(t *testing.T) {
 }
 
 func TestTable5Shape(t *testing.T) {
-	tab, err := Table5()
+	tab, err := genTable("table5", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +107,7 @@ func TestTable5Shape(t *testing.T) {
 }
 
 func TestTable7Sendmail(t *testing.T) {
-	tab, err := Table7()
+	tab, err := genTable("table7", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +133,7 @@ func TestTable7Sendmail(t *testing.T) {
 }
 
 func TestTable8Shape(t *testing.T) {
-	tab, err := Table8(50)
+	tab, err := genTable("table8", 50)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +157,7 @@ func TestTable8Shape(t *testing.T) {
 }
 
 func TestAblationMonotone(t *testing.T) {
-	tab, err := AblationSegRegs()
+	tab, err := genTable("ablation-segregs", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +196,7 @@ func TestLDTCostTable(t *testing.T) {
 }
 
 func TestCacheTable(t *testing.T) {
-	tab, err := CacheTable()
+	tab, err := genTable("cache", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +215,7 @@ func TestCacheTable(t *testing.T) {
 }
 
 func TestSegmentsBudget(t *testing.T) {
-	tab, err := SegmentsTable()
+	tab, err := genTable("segments", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +250,7 @@ func TestFigure2Table(t *testing.T) {
 }
 
 func TestFigure1Trace(t *testing.T) {
-	trace, err := Figure1Trace()
+	trace, err := Figure1TraceContext(context.Background(), testEng)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,7 +8,7 @@ import (
 	"cash/internal/serve"
 )
 
-// DetectorTable compares the bound-violation detectors the paper
+// detectorTable compares the bound-violation detectors the paper
 // discusses — no checking (GCC), Electric Fence guard pages (related
 // work, §2), BCC software checks, the bound instruction, and Cash — on a
 // heap-churning workload: run-time overhead, heap address-space
@@ -67,12 +67,7 @@ func detectorVariants() []detectorVariant {
 	}
 }
 
-// DetectorTable builds the comparison.
-func DetectorTable() (*Table, error) {
-	return detectorTable(context.Background(), serve.Default())
-}
-
-func detectorTable(ctx context.Context, eng *serve.Engine) (*Table, error) {
+func detectorTable(ctx context.Context, eng *serve.Engine, cfg Config) (*Table, error) {
 	t := &Table{
 		ID:      "detectors",
 		Title:   "bound-violation detectors on a heap-churn workload (200 allocations)",
@@ -91,7 +86,7 @@ func detectorTable(ctx context.Context, eng *serve.Engine) (*Table, error) {
 	results := make([]variantResult, len(vs))
 	err := eng.Do(len(vs), func(i int) error {
 		v := vs[i]
-		art, err := eng.BuildContext(ctx, detectorHeapKernel, v.mode, opt(v.opts))
+		art, err := eng.BuildContext(ctx, detectorHeapKernel, v.mode, cfg.opt(v.opts))
 		if err != nil {
 			return fmt.Errorf("%s: %w", v.name, err)
 		}
@@ -105,7 +100,7 @@ func detectorTable(ctx context.Context, eng *serve.Engine) (*Table, error) {
 		results[i].cycles = res.Cycles
 		results[i].heapSpan = res.HeapSpan
 		for pi, probe := range []string{probeHeap, probeGlobal, probeStack} {
-			caught, err := detects(ctx, eng, probe, v)
+			caught, err := detects(ctx, eng, cfg, probe, v)
 			if err != nil {
 				return fmt.Errorf("%s: probe: %w", v.name, err)
 			}
@@ -142,8 +137,8 @@ func detectorTable(ctx context.Context, eng *serve.Engine) (*Table, error) {
 // run goes through the Engine, so a probe's outcome — including the
 // expensive unchecked-GCC runaways that burn the whole step budget —
 // is simulated once and served from the run cache afterwards.
-func detects(ctx context.Context, eng *serve.Engine, src string, v detectorVariant) (bool, error) {
-	art, err := eng.BuildContext(ctx, src, v.mode, opt(v.opts))
+func detects(ctx context.Context, eng *serve.Engine, cfg Config, src string, v detectorVariant) (bool, error) {
+	art, err := eng.BuildContext(ctx, src, v.mode, cfg.opt(v.opts))
 	if err != nil {
 		return false, err
 	}

@@ -1,20 +1,23 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"strings"
+	"sync"
 	"testing"
 
-	"cash/internal/par"
+	"cash/internal/serve"
 )
 
-// renderAll reproduces exactly what `cashbench -all` writes to stdout:
-// every table in paper order, a blank line after each, then the Figure 1
-// trace.
-func renderAll(t *testing.T, requests int) string {
+// renderAll reproduces exactly what `cashbench -all` writes to stdout
+// for eng and cfg: every table in paper order, a blank line after each,
+// then the Figure 1 trace.
+func renderAll(t *testing.T, eng *serve.Engine, cfg Config, requests int) string {
 	t.Helper()
-	tabs, err := AllTables(requests)
+	ctx := context.Background()
+	tabs, _, err := AllTablesTimedContext(ctx, eng, cfg, requests)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,7 +26,7 @@ func renderAll(t *testing.T, requests int) string {
 		b.WriteString(tab.Format())
 		b.WriteByte('\n')
 	}
-	trace, err := Figure1Trace()
+	trace, err := Figure1TraceContext(ctx, eng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +49,7 @@ func TestGoldenAllTables(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := renderAll(t, 200)
+	got := renderAll(t, testEng, Config{}, 200)
 	if got != string(want) {
 		t.Fatalf("benchmark output drifted from golden file\ngot %d bytes, want %d bytes\n%s",
 			len(got), len(want), firstDiff(got, string(want)))
@@ -66,9 +69,7 @@ func TestGoldenAllTablesTier2(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prev := SetTier2(true)
-	defer SetTier2(prev)
-	got := renderAll(t, 200)
+	got := renderAll(t, serve.NewEngine(serve.EngineConfig{}), Config{Tier2: true}, 200)
 	if got != string(want) {
 		t.Fatalf("tier-2 benchmark output drifted from the step-execution golden\ngot %d bytes, want %d bytes\n%s",
 			len(got), len(want), firstDiff(got, string(want)))
@@ -80,16 +81,11 @@ func TestGoldenAllTablesTier2(t *testing.T) {
 // budget must be byte-identical. Under -race this also exercises the
 // row fan-out for data races.
 func TestParallelDeterminism(t *testing.T) {
-	defer par.SetParallelism(par.Parallelism())
 	render := func(budget int) string {
-		par.SetParallelism(budget)
+		eng := serve.NewEngine(serve.EngineConfig{Parallelism: budget})
 		var b strings.Builder
-		for _, mk := range []func() (*Table, error){
-			func() (*Table, error) { return Table1(4) },
-			Table3,
-			AblationSegRegs,
-		} {
-			tab, err := mk()
+		for _, id := range []string{"table1", "table3", "ablation-segregs"} {
+			tab, err := TableByID(context.Background(), eng, Config{}, id, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -114,4 +110,63 @@ func firstDiff(got, want string) string {
 		}
 	}
 	return "texts differ in length only"
+}
+
+// goldenSection returns the block of a committed `cashbench -all` golden
+// that holds the table with the given id, as its Format renders it.
+func goldenSection(t *testing.T, file, id string) string {
+	t.Helper()
+	data, err := os.ReadFile(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, block := range strings.Split(string(data), "\n\n") {
+		if strings.HasPrefix(block, strings.ToUpper(id)+" — ") {
+			return block + "\n"
+		}
+	}
+	t.Fatalf("%s has no %s section", file, id)
+	return ""
+}
+
+// TestConcurrentEnginesIsolated pins that nothing about a table run is
+// process-wide: two Engines with different worker budgets and different
+// harness configurations generate table1 at the same time, and each
+// result equals its own golden section. Under -race this also checks
+// that the two runs share no unsynchronised state.
+func TestConcurrentEnginesIsolated(t *testing.T) {
+	runs := []struct {
+		budget int
+		cfg    Config
+		golden string
+	}{
+		{1, Config{}, "testdata/golden_all_200.txt"},
+		{8, Config{Passes: []string{"rce", "hoist"}}, "testdata/golden_all_passes_200.txt"},
+	}
+	got := make([]string, len(runs))
+	errs := make([]error, len(runs))
+	var wg sync.WaitGroup
+	for i, r := range runs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			eng := serve.NewEngine(serve.EngineConfig{Parallelism: r.budget})
+			tab, err := TableByID(context.Background(), eng, r.cfg, "table1", 0)
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			got[i] = tab.Format()
+		}()
+	}
+	wg.Wait()
+	for i, r := range runs {
+		if errs[i] != nil {
+			t.Fatalf("parallelism %d: %v", r.budget, errs[i])
+		}
+		if want := goldenSection(t, r.golden, "table1"); got[i] != want {
+			t.Fatalf("parallelism %d, passes %v: table1 differs from %s\n%s",
+				r.budget, r.cfg.Passes, r.golden, firstDiff(got[i], want))
+		}
+	}
 }

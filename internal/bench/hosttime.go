@@ -10,7 +10,7 @@ import (
 )
 
 // KernelTiming is the measured host-side cost of one Table 1 kernel
-// under the harness-wide configuration (passes, tier): the median
+// under a harness configuration (passes, tier): the median
 // wall-clock nanoseconds per complete run and the simulated
 // instructions one run executes. `cashbench -json` emits these so
 // BENCH_*.json speedup records can be generated without hand-editing.
@@ -20,19 +20,19 @@ type KernelTiming struct {
 	SimInstructions uint64
 }
 
-// KernelHostTimings builds each Table 1 kernel under the harness
-// configuration and times runs complete executions, reporting the
+// KernelHostTimings builds each Table 1 kernel under cfg and times runs
+// complete executions, reporting the
 // median. Runs below 1 are treated as 1. The kernels execute
 // sequentially on the calling goroutine — wall-clock per op is the
 // quantity being measured, so nothing else may share the host.
-func KernelHostTimings(runs int) ([]KernelTiming, error) {
+func KernelHostTimings(cfg Config, runs int) ([]KernelTiming, error) {
 	if runs < 1 {
 		runs = 1
 	}
 	ws := workload.Kernels()
 	out := make([]KernelTiming, 0, len(ws))
 	for _, w := range ws {
-		art, err := core.Build(w.Source, core.ModeCash, opt(core.Options{}))
+		art, err := core.Build(w.Source, core.ModeCash, cfg.opt(core.Options{}))
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", w.Name, err)
 		}

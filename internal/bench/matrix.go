@@ -5,41 +5,10 @@ import (
 	"fmt"
 	"strings"
 
-	"cash/internal/codegen"
 	"cash/internal/core"
 	"cash/internal/serve"
 	"cash/internal/workload"
 )
-
-// The strategy filter (`cashbench -strategy mpx`) restricts the
-// strategy-matrix sweep to the named strategies; nil means the full
-// registry. Shares passMu with the other harness-wide settings.
-var harnessStrategies []string
-
-// SetStrategyFilter restricts the strategy matrix to the named checking
-// strategies (nil restores the full-registry sweep). Unknown names are
-// rejected with the registry's error listing the valid ones. Returns
-// the previous filter.
-func SetStrategyFilter(names []string) ([]string, error) {
-	for _, n := range names {
-		if _, ok := codegen.StrategyByName(n); !ok {
-			return nil, codegen.UnknownStrategyError(n)
-		}
-	}
-	passMu.Lock()
-	defer passMu.Unlock()
-	prev := harnessStrategies
-	harnessStrategies = append([]string(nil), names...)
-	return prev, nil
-}
-
-// StrategyFilter returns the harness-wide strategy filter (nil when the
-// matrix sweeps the whole registry).
-func StrategyFilter() []string {
-	passMu.RLock()
-	defer passMu.RUnlock()
-	return append([]string(nil), harnessStrategies...)
-}
 
 // matrixPassCombos are the pass-pipeline prefixes the strategy matrix
 // sweeps: each combo adds the next registered pass, so the columns read
@@ -56,18 +25,18 @@ var matrixPassCombos = []struct {
 	{"+chop", []string{"rce", "hoist", "affine", "chop"}},
 }
 
-// StrategyMatrix measures every registered checking strategy against
-// every pass combination on the Table 1 kernels plus the range kernels:
-// one row per (program, strategy), one column per pass pipeline, each
-// cell cycles/dynamic-software-checks. Every cell's program output is
-// verified against the unchecked gcc baseline, so the table doubles as
-// a differential gate over the full strategy x pass space.
-func StrategyMatrix() (*Table, error) {
-	return strategyMatrix(context.Background(), serve.Default())
-}
-
-func strategyMatrix(ctx context.Context, eng *serve.Engine) (*Table, error) {
-	strategies := StrategyFilter()
+// strategyMatrix measures every registered checking strategy (or the
+// configured subset) against every pass combination on the Table 1
+// kernels plus the range kernels: one row per (program, strategy), one
+// column per pass pipeline, each cell cycles/dynamic-software-checks.
+// Every cell's program output is verified against the unchecked gcc
+// baseline, so the table doubles as a differential gate over the full
+// strategy x pass space.
+func strategyMatrix(ctx context.Context, eng *serve.Engine, cfg Config) (*Table, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	strategies := cfg.Strategies
 	if len(strategies) == 0 {
 		strategies = core.StrategyNames()
 	}
@@ -92,14 +61,14 @@ func strategyMatrix(ctx context.Context, eng *serve.Engine) (*Table, error) {
 	err := eng.Do(len(ws), func(wi int) error {
 		w := ws[wi]
 		// The differential baseline: unchecked gcc with no passes.
-		ref, err := matrixCell(ctx, eng, w, core.ModeGCC, nil)
+		ref, err := matrixCell(ctx, eng, cfg, w, core.ModeGCC, nil)
 		if err != nil {
 			return fmt.Errorf("%s gcc baseline: %w", w.Name, err)
 		}
 		for si, s := range strategies {
 			row := []string{w.Name, s}
 			for _, combo := range matrixPassCombos {
-				cell, err := matrixCell(ctx, eng, w, core.Mode(s), combo.passes)
+				cell, err := matrixCell(ctx, eng, cfg, w, core.Mode(s), combo.passes)
 				if err != nil {
 					return fmt.Errorf("%s %s %s: %w", w.Name, s, combo.label, err)
 				}
@@ -125,9 +94,9 @@ type matrixMeasurement struct {
 	output []int32
 }
 
-func matrixCell(ctx context.Context, eng *serve.Engine, w workload.Workload, mode core.Mode, passes []string) (matrixMeasurement, error) {
+func matrixCell(ctx context.Context, eng *serve.Engine, cfg Config, w workload.Workload, mode core.Mode, passes []string) (matrixMeasurement, error) {
 	var m matrixMeasurement
-	art, err := eng.BuildContext(ctx, w.Source, mode, core.Options{Passes: passes, Tier2: Tier2()})
+	art, err := eng.BuildContext(ctx, w.Source, mode, core.Options{Passes: passes, Tier2: cfg.Tier2})
 	if err != nil {
 		return m, err
 	}

@@ -25,7 +25,7 @@ func TestGoldenStrategyMatrix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tab, err := StrategyMatrix()
+	tab, err := genTable("strategy-matrix", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func TestStrategyMatrixDeterministic(t *testing.T) {
 		t.Skip("matrix regeneration is slow; run without -short")
 	}
 	render := func() string {
-		tab, err := strategyMatrix(context.Background(), serve.NewEngine(serve.EngineConfig{}))
+		tab, err := strategyMatrix(context.Background(), serve.NewEngine(serve.EngineConfig{}), Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -79,20 +79,19 @@ func TestStrategyMatrixCoversRegistry(t *testing.T) {
 	}
 }
 
-// TestStrategyFilter: the cashbench -strategy knob validates names up
-// front and restricts the matrix to the requested rows.
+// TestStrategyFilter: the cashbench -strategy knob (Config.Strategies)
+// validates names and restricts the matrix to the requested rows.
 func TestStrategyFilter(t *testing.T) {
-	if _, err := SetStrategyFilter([]string{"asan"}); err == nil {
+	bad := Config{Strategies: []string{"asan"}}
+	if err := bad.Validate(); err == nil {
 		t.Fatal("unknown strategy accepted by the filter")
 	} else if !strings.Contains(err.Error(), `unknown strategy "asan"`) {
 		t.Fatalf("unexpected error %v", err)
 	}
-	prev, err := SetStrategyFilter([]string{"mpx"})
-	if err != nil {
-		t.Fatal(err)
+	if _, err := strategyMatrix(context.Background(), testEng, bad); err == nil {
+		t.Fatal("strategy matrix accepted an unknown strategy")
 	}
-	defer SetStrategyFilter(prev)
-	tab, err := strategyMatrix(context.Background(), serve.Default())
+	tab, err := strategyMatrix(context.Background(), testEng, Config{Strategies: []string{"mpx"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,17 +110,17 @@ func TestStrategyFilter(t *testing.T) {
 // consolidation pass must strictly reduce dynamic software checks on at
 // least three kernels without changing program output.
 func TestChopReducesChecks(t *testing.T) {
-	eng := serve.Default()
+	eng := testEng
 	ctx := context.Background()
 	ws := append(workload.Kernels(), workload.RangeKernels()...)
 	ws = append(ws, workload.StencilKernels()...)
 	var winners []string
 	for _, w := range ws {
-		off, err := matrixCell(ctx, eng, w, core.ModeBCC, nil)
+		off, err := matrixCell(ctx, eng, Config{}, w, core.ModeBCC, nil)
 		if err != nil {
 			t.Fatalf("%s off: %v", w.Name, err)
 		}
-		on, err := matrixCell(ctx, eng, w, core.ModeBCC, []string{"chop"})
+		on, err := matrixCell(ctx, eng, Config{}, w, core.ModeBCC, []string{"chop"})
 		if err != nil {
 			t.Fatalf("%s chop: %v", w.Name, err)
 		}

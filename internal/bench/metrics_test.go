@@ -1,20 +1,21 @@
 package bench
 
 import (
+	"context"
 	"os"
 	"testing"
 
 	"cash/internal/obs"
-	"cash/internal/par"
+	"cash/internal/serve"
 )
 
-// resilienceMetricsDelta runs the resilience experiment and returns the
-// observability-registry delta it produced, exactly as `cashbench
-// -table resilience ... -metrics-out` writes it.
-func resilienceMetricsDelta(t *testing.T, requests int, seed uint64, rate float64) string {
+// resilienceMetricsDelta runs the resilience experiment through eng and
+// returns the observability-registry delta it produced, exactly as
+// `cashbench -table resilience ... -metrics-out` writes it.
+func resilienceMetricsDelta(t *testing.T, eng *serve.Engine, requests int, seed uint64, rate float64) string {
 	t.Helper()
 	base := obs.Default().Snapshot()
-	if _, err := ResilienceTable(requests, seed, rate); err != nil {
+	if _, err := ResilienceTableContext(context.Background(), eng, Config{}, requests, seed, rate); err != nil {
 		t.Fatal(err)
 	}
 	return obs.Default().Snapshot().Delta(base).Format()
@@ -35,7 +36,7 @@ func TestMetricsGoldenResilience(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := resilienceMetricsDelta(t, 200, 1, 0.05)
+	got := resilienceMetricsDelta(t, testEng, 200, 1, 0.05)
 	if got != string(want) {
 		t.Fatalf("metrics delta drifted from golden file\ngot %d bytes, want %d bytes\n%s",
 			len(got), len(want), firstDiff(got, string(want)))
@@ -45,13 +46,11 @@ func TestMetricsGoldenResilience(t *testing.T) {
 // TestMetricsParallelDeterminism checks the obs determinism contract end
 // to end: every metric the layers publish is commutative (counter sums,
 // histogram buckets), so the registry delta of the same experiment must
-// be byte-identical whether its rows run sequentially or fanned out.
+// be byte-identical whether its rows run sequentially or fanned out. The
+// caller's Engine budget reaches the table's private Engine.
 func TestMetricsParallelDeterminism(t *testing.T) {
-	defer par.SetParallelism(par.Parallelism())
-	par.SetParallelism(1)
-	seq := resilienceMetricsDelta(t, 40, 7, 0.1)
-	par.SetParallelism(8)
-	parl := resilienceMetricsDelta(t, 40, 7, 0.1)
+	seq := resilienceMetricsDelta(t, serve.NewEngine(serve.EngineConfig{Parallelism: 1}), 40, 7, 0.1)
+	parl := resilienceMetricsDelta(t, serve.NewEngine(serve.EngineConfig{Parallelism: 8}), 40, 7, 0.1)
 	if seq != parl {
 		t.Fatalf("metrics delta differs between -parallel 1 and -parallel 8\n%s", firstDiff(parl, seq))
 	}

@@ -3,85 +3,67 @@ package bench
 import (
 	"context"
 	"fmt"
-	"sync"
 
+	"cash/internal/codegen"
 	"cash/internal/core"
 	"cash/internal/serve"
 	"cash/internal/workload"
 )
 
-// The harness-wide pass configuration. Every experiment in this package
-// compiles through opt(), so `cashbench -passes rce,hoist` regenerates
-// the entire suite under the optimizing back end. Configure before
-// generating tables — the tables themselves read it concurrently.
-var (
-	passMu        sync.RWMutex
-	harnessPasses []string
-	harnessTier2  bool
-)
-
-// SetPasses configures the IR optimization passes every experiment in
-// this package compiles with (nil restores the exact-replication
-// default of no passes). It returns the previous setting.
-func SetPasses(passes []string) []string {
-	passMu.Lock()
-	defer passMu.Unlock()
-	prev := harnessPasses
-	harnessPasses = append([]string(nil), passes...)
-	return prev
+// Config is the harness configuration every experiment in this package
+// compiles and runs under. The zero value is the paper's exact
+// replication: no IR passes, step execution, and a strategy matrix that
+// sweeps the whole registry.
+type Config struct {
+	// Passes are the IR optimization passes every experiment compiles
+	// with, so `cashbench -passes rce,hoist` regenerates the entire
+	// suite under the optimizing back end.
+	Passes []string
+	// Tier2 executes every experiment through the tier-2 superblock
+	// engine (`cashbench -tier2`). Tier-2 is output-identical to step
+	// execution, so the tables must not change — the CI tier-2 lane
+	// diffs the suite against the step goldens to prove it.
+	Tier2 bool
+	// Strategies restricts the strategy matrix to the named checking
+	// strategies (`cashbench -strategy mpx`); nil sweeps the registry.
+	Strategies []string
 }
 
-// Passes returns the harness-wide pass configuration.
-func Passes() []string {
-	passMu.RLock()
-	defer passMu.RUnlock()
-	return append([]string(nil), harnessPasses...)
-}
-
-// SetTier2 configures whether every experiment in this package executes
-// through the tier-2 superblock engine (`cashbench -tier2`). Tier-2 is
-// output-identical to step execution, so the tables must not change —
-// the CI tier-2 lane diffs the suite against the step goldens to prove
-// it. Returns the previous setting.
-func SetTier2(on bool) bool {
-	passMu.Lock()
-	defer passMu.Unlock()
-	prev := harnessTier2
-	harnessTier2 = on
-	return prev
-}
-
-// Tier2 returns the harness-wide tier-2 setting.
-func Tier2() bool {
-	passMu.RLock()
-	defer passMu.RUnlock()
-	return harnessTier2
-}
-
-// opt stamps the harness-wide pass and tier configuration onto one
-// experiment's build options.
-func opt(o core.Options) core.Options {
-	passMu.RLock()
-	defer passMu.RUnlock()
-	if len(harnessPasses) > 0 && o.Passes == nil {
-		o.Passes = harnessPasses
+// Validate rejects unknown strategy names with the registry's error
+// listing the valid ones.
+func (c Config) Validate() error {
+	for _, n := range c.Strategies {
+		if _, ok := codegen.StrategyByName(n); !ok {
+			return codegen.UnknownStrategyError(n)
+		}
 	}
-	if harnessTier2 {
+	return nil
+}
+
+// opt stamps the configured passes and tier onto one experiment's build
+// options.
+func (c Config) opt(o core.Options) core.Options {
+	if len(c.Passes) > 0 && o.Passes == nil {
+		o.Passes = c.Passes
+	}
+	if c.Tier2 {
 		o.Tier2 = true
 	}
 	return o
 }
 
-// AblationPasses measures what the optional IR passes buy on the six
+// compare runs one workload under the paper's gcc/bcc/cash trio through
+// eng, with cfg stamped onto the shared build options.
+func compare(ctx context.Context, eng *serve.Engine, cfg Config, w workload.Workload, o core.Options) (*core.Comparison, error) {
+	return eng.CompareStrategiesContext(ctx, w.Name, w.Source, core.CompareConfig{Options: cfg.opt(o)})
+}
+
+// ablationPasses measures what the optional IR passes buy on the six
 // numerical kernels under BCC (the mode where every check is software,
 // so eliminated checks translate directly into cycles): static and
 // dynamic software-check counts and cycles, with passes off versus
 // rce+hoist.
-func AblationPasses() (*Table, error) {
-	return ablationPasses(context.Background(), serve.Default())
-}
-
-func ablationPasses(ctx context.Context, eng *serve.Engine) (*Table, error) {
+func ablationPasses(ctx context.Context, eng *serve.Engine, cfg Config) (*Table, error) {
 	t := &Table{
 		ID:      "ablation-passes",
 		Title:   "IR optimization pass ablation (BCC; off vs rce+hoist)",
@@ -95,11 +77,11 @@ func ablationPasses(ctx context.Context, eng *serve.Engine) (*Table, error) {
 	t.Rows = make([][]string, len(ws))
 	err := eng.Do(len(ws), func(i int) error {
 		w := ws[i]
-		off, err := measurePasses(ctx, eng, w, nil)
+		off, err := measurePasses(ctx, eng, cfg, w, nil)
 		if err != nil {
 			return fmt.Errorf("%s off: %w", w.Name, err)
 		}
-		on, err := measurePasses(ctx, eng, w, []string{"rce", "hoist"})
+		on, err := measurePasses(ctx, eng, cfg, w, []string{"rce", "hoist"})
 		if err != nil {
 			return fmt.Errorf("%s on: %w", w.Name, err)
 		}
@@ -126,12 +108,12 @@ type passMeasurement struct {
 	affine   uint64 // checks the affine pass replaced (0 unless it ran)
 }
 
-func measurePasses(ctx context.Context, eng *serve.Engine, w workload.Workload, passes []string) (passMeasurement, error) {
+func measurePasses(ctx context.Context, eng *serve.Engine, cfg Config, w workload.Workload, passes []string) (passMeasurement, error) {
 	var m passMeasurement
-	// Deliberately not opt(): the ablation's off-arm must stay pass-free
-	// even under `cashbench -passes`. The tier setting still applies —
-	// tier-2 is execution strategy, not code shape.
-	art, err := eng.BuildContext(ctx, w.Source, core.ModeBCC, core.Options{Passes: passes, Tier2: Tier2()})
+	// Deliberately not cfg.opt(): the ablation's off-arm must stay
+	// pass-free even under `cashbench -passes`. The tier setting still
+	// applies — tier-2 is execution strategy, not code shape.
+	art, err := eng.BuildContext(ctx, w.Source, core.ModeBCC, core.Options{Passes: passes, Tier2: cfg.Tier2})
 	if err != nil {
 		return m, err
 	}

@@ -10,23 +10,20 @@ import (
 	"cash/internal/serve"
 )
 
-// ResilienceTable runs the resilient network servers (internal/netsim)
-// against the deterministic chaos plane and reports availability and
-// latency tails per application and compiler mode. It is not part of
-// AllTables: the paper's tables are chaos-free, and keeping this table
-// separate keeps their goldens byte-identical.
-func ResilienceTable(requests int, seed uint64, rate float64) (*Table, error) {
-	return ResilienceTableContext(context.Background(), requests, seed, rate)
-}
-
-// ResilienceTableContext is ResilienceTable with cancellation. It
-// deliberately measures on a fresh private Engine rather than a
-// caller-supplied one, so the serve-layer metrics it publishes are a
-// pure function of (requests, seed, rate) — the property the metrics
-// golden checks.
-func ResilienceTableContext(ctx context.Context, requests int, seed uint64, rate float64) (*Table, error) {
+// ResilienceTableContext runs the resilient network servers
+// (internal/netsim) against the deterministic chaos plane and reports
+// availability and latency tails per application and compiler mode. It
+// is not part of AllTablesTimedContext: the paper's tables are chaos-free,
+// and keeping this table separate keeps their goldens byte-identical.
+//
+// It deliberately measures on a fresh private Engine rather than eng,
+// so the serve-layer metrics it publishes are a pure function of
+// (requests, seed, rate) — the property the metrics golden checks. The
+// private Engine takes only eng's worker budget and event trace.
+func ResilienceTableContext(ctx context.Context, eng *serve.Engine, cfg Config, requests int, seed uint64, rate float64) (*Table, error) {
 	plan := chaos.NewPlan(chaos.Config{Seed: seed, Rate: rate})
-	reps, err := netsim.MeasureAllResilienceContext(ctx, serve.NewEngine(serve.EngineConfig{}), requests, opt(core.Options{}), plan)
+	private := serve.NewEngine(serve.EngineConfig{Parallelism: eng.Parallelism(), EventTrace: eng.EventTrace()})
+	reps, err := netsim.MeasureAllResilienceContext(ctx, private, requests, cfg.opt(core.Options{}), plan)
 	if err != nil {
 		return nil, err
 	}

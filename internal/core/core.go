@@ -477,15 +477,16 @@ func overheadPct(v, base uint64) float64 {
 }
 
 // Runner abstracts how a comparison obtains and executes artifacts, so
-// the same three-mode workflow can run either directly (build and run
-// from scratch, the Compare default) or through a serving engine that
-// caches artifacts and pools machines.
+// the same multi-strategy workflow can run either directly (build and
+// run from scratch, the CompareStrategies default) or through a serving
+// engine that caches artifacts and pools machines.
 type Runner interface {
 	BuildArtifact(source string, mode Mode, opts Options) (*Artifact, error)
 	RunArtifact(art *Artifact) (*RunResult, error)
 }
 
-// directRunner is the Runner Compare uses: no caching, fresh machines.
+// directRunner is the Runner CompareStrategies uses: no caching, fresh
+// machines.
 type directRunner struct{}
 
 func (directRunner) BuildArtifact(source string, mode Mode, opts Options) (*Artifact, error) {
@@ -568,23 +569,6 @@ func CompareStrategiesUsing(r Runner, name, source string, cfg CompareConfig) (*
 		}
 	}
 	return cmp, nil
-}
-
-// Compare builds and runs source under the classic three modes and checks
-// that the three executions produce identical program output.
-//
-// Deprecated: Use CompareStrategies, which accepts any registered
-// strategy set. This wrapper keeps working and compares gcc, bcc, cash.
-func Compare(name, source string, opts Options) (*Comparison, error) {
-	return CompareStrategies(name, source, CompareConfig{Options: opts})
-}
-
-// CompareUsing is Compare with the build/run steps delegated to r.
-//
-// Deprecated: Use CompareStrategiesUsing. This wrapper keeps working and
-// compares gcc, bcc, cash.
-func CompareUsing(r Runner, name, source string, opts Options) (*Comparison, error) {
-	return CompareStrategiesUsing(r, name, source, CompareConfig{Options: opts})
 }
 
 func sameOutput(a, b []int32) error {

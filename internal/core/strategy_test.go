@@ -162,8 +162,8 @@ func TestCompareStrategiesUnknownName(t *testing.T) {
 	}
 }
 
-// TestCompareDefaultTrio: the deprecated wrapper and an empty
-// CompareConfig both compare exactly gcc, bcc, cash.
+// TestCompareDefaultTrio: an empty CompareConfig compares exactly
+// gcc, bcc, cash — the same as naming the trio explicitly.
 func TestCompareDefaultTrio(t *testing.T) {
 	cmp, err := CompareStrategies("sum", sumKernel, CompareConfig{})
 	if err != nil {
@@ -172,11 +172,11 @@ func TestCompareDefaultTrio(t *testing.T) {
 	if len(cmp.Reports) != 3 {
 		t.Fatalf("default comparison has %d reports, want 3", len(cmp.Reports))
 	}
-	legacy, err := Compare("sum", sumKernel, Options{})
+	trio, err := CompareStrategies("sum", sumKernel, CompareConfig{Strategies: []string{"gcc", "bcc", "cash"}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if legacy.GCC.Cycles != cmp.GCC.Cycles || legacy.Cash.Cycles != cmp.Cash.Cycles {
-		t.Fatal("deprecated Compare disagrees with CompareStrategies default")
+	if trio.GCC.Cycles != cmp.GCC.Cycles || trio.Cash.Cycles != cmp.Cash.Cycles {
+		t.Fatal("explicit gcc/bcc/cash trio disagrees with the CompareStrategies default")
 	}
 }

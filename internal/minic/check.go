@@ -69,7 +69,20 @@ type checker struct {
 	fn        *FuncDecl
 	scopes    []map[string]*VarDecl
 	loopDepth int
+	depth     int // syntax-tree nesting, bounded by MaxNesting
 }
+
+// nest opens one level of the syntax tree, failing once the tree is
+// deeper than MaxNesting. Every nest is paired with a deferred unnest.
+func (c *checker) nest(line int) error {
+	c.depth++
+	if c.depth > MaxNesting {
+		return errf(line, 1, "nesting exceeds %d levels", MaxNesting)
+	}
+	return nil
+}
+
+func (c *checker) unnest() { c.depth-- }
 
 func (c *checker) checkInit(d *VarDecl) error {
 	switch {
@@ -145,6 +158,10 @@ func (c *checker) checkBlock(b *BlockStmt) error {
 }
 
 func (c *checker) checkStmt(s Stmt) error {
+	if err := c.nest(c.fn.Line); err != nil {
+		return err
+	}
+	defer c.unnest()
 	switch s := s.(type) {
 	case *BlockStmt:
 		return c.checkBlock(s)
@@ -310,6 +327,10 @@ func isLValue(e Expr) bool {
 }
 
 func (c *checker) checkExpr(e Expr) error {
+	if err := c.nest(e.Pos()); err != nil {
+		return err
+	}
+	defer c.unnest()
 	switch e := e.(type) {
 	case *NumberLit:
 		e.typ = Int

@@ -18,10 +18,36 @@ func Parse(src string) (*Program, error) {
 	return prog, nil
 }
 
+// MaxNesting bounds how deeply a program may nest. In the parser every
+// statement, every assignment-level expression (a parenthesised, index,
+// argument or assigned operand opens one) and every prefix operator or
+// cast is one level; the checker applies the same bound to the depth of
+// the syntax tree, which also catches long left-leaning chains such as
+// 1+1+…+1 that the parser builds without recursing. Corpus programs nest
+// a few dozen levels at most. The bound keeps every recursive pass over
+// a program far from the goroutine stack limit, so over-deep input is a
+// compile error instead of a fatal stack overflow.
+const MaxNesting = 1000
+
 type parser struct {
-	toks []Token
-	pos  int
+	toks  []Token
+	pos   int
+	depth int
 }
+
+// enter opens one nesting level at the current token, failing once the
+// program nests deeper than MaxNesting. Every enter is paired with a
+// deferred leave.
+func (p *parser) enter() error {
+	p.depth++
+	if p.depth > MaxNesting {
+		t := p.cur()
+		return errf(t.Line, t.Col, "nesting exceeds %d levels", MaxNesting)
+	}
+	return nil
+}
+
+func (p *parser) leave() { p.depth-- }
 
 func (p *parser) cur() Token  { return p.toks[p.pos] }
 func (p *parser) next() Token { t := p.toks[p.pos]; p.pos++; return t }
@@ -256,6 +282,10 @@ func (p *parser) block() (*BlockStmt, error) {
 }
 
 func (p *parser) stmt() (Stmt, error) {
+	if err := p.enter(); err != nil {
+		return nil, err
+	}
+	defer p.leave()
 	t := p.cur()
 	switch {
 	case p.atPunct("{"):
@@ -430,6 +460,10 @@ var assignOps = map[string]bool{
 }
 
 func (p *parser) assignExpr() (Expr, error) {
+	if err := p.enter(); err != nil {
+		return nil, err
+	}
+	defer p.leave()
 	lhs, err := p.binaryExpr(0)
 	if err != nil {
 		return nil, err
@@ -496,6 +530,10 @@ func (p *parser) unaryExpr() (Expr, error) {
 	if t.Kind == TokPunct {
 		switch t.Text {
 		case "!", "-", "~", "*", "&":
+			if err := p.enter(); err != nil {
+				return nil, err
+			}
+			defer p.leave()
 			p.pos++
 			x, err := p.unaryExpr()
 			if err != nil {
@@ -503,6 +541,10 @@ func (p *parser) unaryExpr() (Expr, error) {
 			}
 			return &Unary{exprBase: exprBase{line: t.Line}, Op: t.Text, X: x}, nil
 		case "++", "--":
+			if err := p.enter(); err != nil {
+				return nil, err
+			}
+			defer p.leave()
 			p.pos++
 			x, err := p.unaryExpr()
 			if err != nil {
@@ -524,6 +566,10 @@ func (p *parser) unaryExpr() (Expr, error) {
 					p.pos = save
 					break
 				}
+				if err := p.enter(); err != nil {
+					return nil, err
+				}
+				defer p.leave()
 				x, err := p.unaryExpr()
 				if err != nil {
 					return nil, err

@@ -1,9 +1,11 @@
 package netsim
 
 import (
+	"context"
 	"testing"
 
 	"cash/internal/core"
+	"cash/internal/serve"
 	"cash/internal/workload"
 )
 
@@ -12,7 +14,7 @@ func TestMeasureQpopper(t *testing.T) {
 	if !ok {
 		t.Fatal("qpopper missing")
 	}
-	rep, err := Measure(w, 100, core.Options{})
+	rep, err := MeasureContext(context.Background(), serve.NewEngine(serve.EngineConfig{}), w, 100, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +41,7 @@ func TestMeasureRejectsNonNetwork(t *testing.T) {
 	if !ok {
 		t.Fatal("toast missing")
 	}
-	if _, err := Measure(w, 10, core.Options{}); err == nil {
+	if _, err := MeasureContext(context.Background(), serve.NewEngine(serve.EngineConfig{}), w, 10, core.Options{}); err == nil {
 		t.Fatal("non-network workload must be rejected")
 	}
 }
@@ -48,7 +50,7 @@ func TestMeasureRejectsNonNetwork(t *testing.T) {
 // pays a positive but modest Cash latency penalty, and BCC (which the
 // paper could not even compile for these apps) costs much more.
 func TestMeasureAllShape(t *testing.T) {
-	reps, err := MeasureAll(100, core.Options{})
+	reps, err := MeasureAllContext(context.Background(), serve.NewEngine(serve.EngineConfig{}), 100, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"strings"
 	"sync"
-	"sync/atomic"
 )
 
 // EventKind classifies a trace record.
@@ -225,16 +224,3 @@ func (t *Trace) capacity() int {
 	}
 	return len(t.buf)
 }
-
-// defaultTrace is the process-wide trace producers without an explicit
-// trace parameter (the netsim serving loop) emit into. It starts nil:
-// tracing is strictly opt-in.
-var defaultTrace atomic.Pointer[Trace]
-
-// DefaultTrace returns the process-wide trace, or nil when tracing is
-// off. The nil result is safe to Emit into.
-func DefaultTrace() *Trace { return defaultTrace.Load() }
-
-// SetDefaultTrace installs (or, with nil, removes) the process-wide
-// trace and returns the previous one.
-func SetDefaultTrace(t *Trace) *Trace { return defaultTrace.Swap(t) }

@@ -1,41 +1,22 @@
 // Package par provides the bounded fan-out used by the benchmark
-// harness: a process-wide worker budget and an indexed parallel-for.
+// harness: an indexed parallel-for under an explicit worker budget.
 //
 // The harness parallelises the independent rows of each table (every row
 // is its own compile-and-run experiment) while the tables themselves stay
 // sequential, so per-table counter deltas remain exact. Each worker writes
 // only its own index's results, which keeps output ordering — and
 // therefore every formatted table — byte-identical to a sequential run.
+// The budget is always the caller's: each serving Engine passes its own.
 package par
 
-import (
-	"runtime"
-	"sync"
-	"sync/atomic"
-)
+import "sync"
 
-var parallelism atomic.Int32
-
-func init() { parallelism.Store(int32(runtime.GOMAXPROCS(0))) }
-
-// SetParallelism sets the worker budget for subsequent Do calls. Values
-// below 1 are treated as 1 (fully sequential).
-func SetParallelism(n int) {
-	if n < 1 {
-		n = 1
-	}
-	parallelism.Store(int32(n))
-}
-
-// Parallelism returns the current worker budget.
-func Parallelism() int { return int(parallelism.Load()) }
-
-// Do runs f(0) … f(n-1), at most Parallelism() at a time, and waits for
-// every started call to return. On failure it returns the error of the
-// lowest failed index: even when several indices fail simultaneously
-// under a concurrent budget, the reported error is a deterministic
-// function of the failure set, never of goroutine scheduling. With a
-// budget of 1 (or n == 1) it runs inline, with no goroutines at all.
+// Do runs f(0) … f(n-1), at most budget at a time, and waits for every
+// started call to return. On failure it returns the error of the lowest
+// failed index: even when several indices fail simultaneously under a
+// concurrent budget, the reported error is a deterministic function of
+// the failure set, never of goroutine scheduling. With a budget of 1 or
+// less (or n == 1) it runs inline, with no goroutines at all.
 //
 // The budgets differ in one observable way — which indices run. A
 // sequential run stops at the first error, so later indices never
@@ -43,14 +24,7 @@ func Parallelism() int { return int(parallelism.Load()) }
 // completion. The returned error is identical either way. Callers that
 // need every index's side effects, or every error rather than just the
 // lowest, must use DoCollect.
-func Do(n int, f func(i int) error) error {
-	return DoN(Parallelism(), n, f)
-}
-
-// DoN is Do with an explicit worker budget instead of the process-wide
-// one. The serving engine uses it to give each Engine its own
-// parallelism, independent of the deprecated global knob.
-func DoN(budget, n int, f func(i int) error) error {
+func Do(budget, n int, f func(i int) error) error {
 	if n <= 0 {
 		return nil
 	}
@@ -62,7 +36,7 @@ func DoN(budget, n int, f func(i int) error) error {
 		}
 		return nil
 	}
-	for _, err := range DoCollectN(budget, n, f) {
+	for _, err := range DoCollect(budget, n, f) {
 		if err != nil {
 			return err
 		}
@@ -74,12 +48,7 @@ func DoN(budget, n int, f func(i int) error) error {
 // completion and returns the full per-index error slice (all nil on
 // success). Callers that need partial results alongside a joined error —
 // the resilient measurement paths — use this instead of Do.
-func DoCollect(n int, f func(i int) error) []error {
-	return DoCollectN(Parallelism(), n, f)
-}
-
-// DoCollectN is DoCollect with an explicit worker budget.
-func DoCollectN(budget, n int, f func(i int) error) []error {
+func DoCollect(budget, n int, f func(i int) error) []error {
 	if n <= 0 {
 		return nil
 	}

@@ -9,12 +9,10 @@ import (
 )
 
 func TestDoRunsEveryIndexOnce(t *testing.T) {
-	defer SetParallelism(Parallelism())
 	for _, budget := range []int{1, 2, 16} {
-		SetParallelism(budget)
 		const n = 100
 		var counts [n]atomic.Int32
-		if err := Do(n, func(i int) error {
+		if err := Do(budget, n, func(i int) error {
 			counts[i].Add(1)
 			return nil
 		}); err != nil {
@@ -29,10 +27,8 @@ func TestDoRunsEveryIndexOnce(t *testing.T) {
 }
 
 func TestDoReturnsLowestIndexError(t *testing.T) {
-	defer SetParallelism(Parallelism())
-	SetParallelism(8)
 	for trial := 0; trial < 10; trial++ {
-		err := Do(20, func(i int) error {
+		err := Do(8, 20, func(i int) error {
 			if i == 3 || i == 17 {
 				return fmt.Errorf("fail-%d", i)
 			}
@@ -50,13 +46,11 @@ func TestDoReturnsLowestIndexError(t *testing.T) {
 // started, so no failure is ordered before another by the work loop —
 // the returned error is still the lowest failed index's.
 func TestDoConcurrentSimultaneousFailures(t *testing.T) {
-	defer SetParallelism(Parallelism())
 	const n = 8
-	SetParallelism(n)
 	for trial := 0; trial < 25; trial++ {
 		var barrier sync.WaitGroup
 		barrier.Add(n)
-		err := Do(n, func(i int) error {
+		err := Do(n, n, func(i int) error {
 			barrier.Done()
 			barrier.Wait()
 			if i%2 == 1 {
@@ -71,11 +65,9 @@ func TestDoConcurrentSimultaneousFailures(t *testing.T) {
 }
 
 func TestDoSequentialStopsAtFirstError(t *testing.T) {
-	defer SetParallelism(Parallelism())
-	SetParallelism(1)
 	ran := 0
 	sentinel := errors.New("stop")
-	err := Do(10, func(i int) error {
+	err := Do(1, 10, func(i int) error {
 		ran++
 		if i == 2 {
 			return sentinel
@@ -90,16 +82,29 @@ func TestDoSequentialStopsAtFirstError(t *testing.T) {
 	}
 }
 
-func TestSetParallelismClampsToOne(t *testing.T) {
-	defer SetParallelism(Parallelism())
-	SetParallelism(-5)
-	if got := Parallelism(); got != 1 {
-		t.Fatalf("Parallelism() = %d, want 1", got)
+// TestDoClampsBudgetToOne pins that a budget below 1 means fully
+// sequential: every call runs inline, in index order, on the caller's
+// goroutine.
+func TestDoClampsBudgetToOne(t *testing.T) {
+	for _, budget := range []int{0, -5} {
+		var order []int
+		if err := Do(budget, 5, func(i int) error {
+			order = append(order, i)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if fmt.Sprint(order) != "[0 1 2 3 4]" {
+			t.Fatalf("budget %d: ran %v, want inline index order", budget, order)
+		}
+		if errs := DoCollect(budget, 3, func(int) error { return nil }); len(errs) != 3 {
+			t.Fatalf("budget %d: DoCollect returned %d errors, want 3", budget, len(errs))
+		}
 	}
 }
 
 func TestDoZeroItems(t *testing.T) {
-	if err := Do(0, func(int) error { return errors.New("never") }); err != nil {
+	if err := Do(4, 0, func(int) error { return errors.New("never") }); err != nil {
 		t.Fatal(err)
 	}
 }

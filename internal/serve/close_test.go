@@ -30,8 +30,8 @@ func TestEngineCloseRejectsNewWork(t *testing.T) {
 	if _, err := eng.RunContext(ctx, art); !errors.Is(err, ErrEngineClosed) {
 		t.Fatalf("RunContext after Close: %v, want ErrEngineClosed", err)
 	}
-	if _, err := eng.CompareContext(ctx, "k", sumKernel, core.Options{}); !errors.Is(err, ErrEngineClosed) {
-		t.Fatalf("CompareContext after Close: %v, want ErrEngineClosed", err)
+	if _, err := eng.CompareStrategiesContext(ctx, "k", sumKernel, core.CompareConfig{}); !errors.Is(err, ErrEngineClosed) {
+		t.Fatalf("CompareStrategiesContext after Close: %v, want ErrEngineClosed", err)
 	}
 }
 

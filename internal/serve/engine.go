@@ -21,6 +21,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync"
 
 	"cash/internal/core"
@@ -68,9 +69,8 @@ const DefaultPoolSize = 8
 const DefaultStoreBytes = 1 << 30
 
 // EngineConfig tunes an Engine. The zero value is a fully enabled
-// engine with default sizing that inherits the process-wide parallelism
-// and default event trace, so NewEngine(EngineConfig{}) behaves like the
-// pre-Engine API, only faster.
+// engine with default sizing, a worker budget of GOMAXPROCS and no event
+// trace.
 type EngineConfig struct {
 	// CacheBytes bounds the artifact + run-result cache. 0 means
 	// DefaultCacheBytes; negative disables caching entirely.
@@ -81,14 +81,11 @@ type EngineConfig struct {
 	// MaxInFlight bounds concurrently admitted requests. 0 derives the
 	// bound from Parallelism.
 	MaxInFlight int
-	// Parallelism is the worker budget for this Engine's table fan-outs,
-	// replacing the deprecated process-wide bench.SetParallelism. 0
-	// inherits the global setting (dynamically — later SetParallelism
-	// calls are honored).
+	// Parallelism is the worker budget for this Engine's table fan-outs.
+	// 0 (or negative) means runtime.GOMAXPROCS, read once at Open.
 	Parallelism int
 	// EventTrace receives the Engine's consumers' structured events
-	// (netsim serving decisions). Nil inherits the process default trace
-	// (obs.DefaultTrace), again dynamically.
+	// (netsim serving decisions). Nil means no trace.
 	EventTrace *obs.Trace
 	// StoreDir, when non-empty, roots a content-addressed on-disk store
 	// layered under the in-memory cache: compiled artifacts and
@@ -111,7 +108,7 @@ type EngineConfig struct {
 }
 
 // Engine owns all cross-request serving state. Engines are safe for
-// concurrent use; create one per logical service (or use Default).
+// concurrent use; create one per logical service.
 type Engine struct {
 	cfg   EngineConfig
 	cache *cache
@@ -139,6 +136,9 @@ func NewEngine(cfg EngineConfig) *Engine {
 // Open returns an Engine for the given configuration, reporting an
 // unusable StoreDir as an error instead of degrading silently.
 func Open(cfg EngineConfig) (*Engine, error) {
+	if cfg.Parallelism <= 0 {
+		cfg.Parallelism = runtime.GOMAXPROCS(0)
+	}
 	e := &Engine{cfg: cfg}
 	if cfg.CacheBytes >= 0 {
 		budget := cfg.CacheBytes
@@ -195,26 +195,15 @@ func (e *Engine) closed() bool {
 	return e.adm.closed
 }
 
-var defaultEngine = NewEngine(EngineConfig{})
-
-// Default returns the process-wide Engine the compatibility wrappers
-// (cash.Build, bench.Table1, …) share.
-func Default() *Engine { return defaultEngine }
-
-// parallelism resolves this Engine's worker budget.
-func (e *Engine) parallelism() int {
-	if e.cfg.Parallelism > 0 {
-		return e.cfg.Parallelism
-	}
-	return par.Parallelism()
-}
+// Parallelism is this Engine's worker budget.
+func (e *Engine) Parallelism() int { return e.cfg.Parallelism }
 
 // limit resolves the admission bound.
 func (e *Engine) limit() int {
 	if e.cfg.MaxInFlight > 0 {
 		return e.cfg.MaxInFlight
 	}
-	if p := e.parallelism(); p > 1 {
+	if p := e.cfg.Parallelism; p > 1 {
 		return p
 	}
 	return 1
@@ -225,7 +214,7 @@ func (e *Engine) limit() int {
 // themselves — internal waits would make the serve.admission.waits
 // counter scheduling-dependent.
 func (e *Engine) workers() int {
-	p := e.parallelism()
+	p := e.cfg.Parallelism
 	if l := e.limit(); l < p {
 		p = l
 	}
@@ -235,23 +224,18 @@ func (e *Engine) workers() int {
 // Do runs f(0) … f(n-1) with this Engine's worker budget (see par.Do
 // for the error contract).
 func (e *Engine) Do(n int, f func(i int) error) error {
-	return par.DoN(e.workers(), n, f)
+	return par.Do(e.workers(), n, f)
 }
 
 // DoCollect runs every index to completion and returns the per-index
 // error slice (see par.DoCollect).
 func (e *Engine) DoCollect(n int, f func(i int) error) []error {
-	return par.DoCollectN(e.workers(), n, f)
+	return par.DoCollect(e.workers(), n, f)
 }
 
-// EventTrace resolves the trace the Engine's consumers should emit
-// into: the configured one, else the process default.
-func (e *Engine) EventTrace() *obs.Trace {
-	if e.cfg.EventTrace != nil {
-		return e.cfg.EventTrace
-	}
-	return obs.DefaultTrace()
-}
+// EventTrace is the trace the Engine's consumers emit into; nil (no
+// trace) unless EngineConfig.EventTrace set one.
+func (e *Engine) EventTrace() *obs.Trace { return e.cfg.EventTrace }
 
 // BuildContext returns the artifact for (source, mode, opts), serving
 // it from the content-addressed cache when possible. Concurrent misses
@@ -462,7 +446,8 @@ func (e *Engine) runNoAdmission(ctx context.Context, art *core.Artifact) (*core.
 	return res, runErr
 }
 
-// engineRunner adapts the Engine to core.Runner for CompareContext.
+// engineRunner adapts the Engine to core.Runner for
+// CompareStrategiesContext.
 // The comparison holds one admission slot for its whole six-step
 // build/run sequence, so the internal steps never queue.
 type engineRunner struct {
@@ -487,15 +472,4 @@ func (e *Engine) CompareStrategiesContext(ctx context.Context, name, source stri
 	}
 	defer e.release()
 	return core.CompareStrategiesUsing(engineRunner{ctx: ctx, e: e}, name, source, cfg)
-}
-
-// CompareContext is core.Compare through the Engine: the three classic
-// modes' builds and runs are served from the caches and pooled
-// machines, under one admission slot.
-//
-// Deprecated: Use CompareStrategiesContext, which accepts any
-// registered strategy set. This wrapper keeps working and compares
-// gcc, bcc, cash.
-func (e *Engine) CompareContext(ctx context.Context, name, source string, opts core.Options) (*core.Comparison, error) {
-	return e.CompareStrategiesContext(ctx, name, source, core.CompareConfig{Options: opts})
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -420,15 +421,33 @@ func TestAdmissionQueuesAndCancels(t *testing.T) {
 // is the plain one, byte for byte.
 func TestCompareContextMatchesPlainCompare(t *testing.T) {
 	eng := NewEngine(EngineConfig{})
-	want, err := core.Compare("heap", heapKernel, core.Options{})
+	want, err := core.CompareStrategies("heap", heapKernel, core.CompareConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := eng.CompareContext(context.Background(), "heap", heapKernel, core.Options{})
+	got, err := eng.CompareStrategiesContext(context.Background(), "heap", heapKernel, core.CompareConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(want, got) {
 		t.Fatalf("engine comparison differs:\n%+v\nvs\n%+v", want, got)
+	}
+}
+
+// TestEngineConfigZeroValues pins what an unset budget and trace mean
+// now that nothing is inherited from process-wide state: Parallelism 0
+// is GOMAXPROCS, read once at Open, and a nil EventTrace is no trace.
+func TestEngineConfigZeroValues(t *testing.T) {
+	eng := NewEngine(EngineConfig{})
+	if got, want := eng.Parallelism(), runtime.GOMAXPROCS(0); got != want {
+		t.Fatalf("Parallelism() = %d, want GOMAXPROCS %d", got, want)
+	}
+	if tr := eng.EventTrace(); tr != nil {
+		t.Fatalf("EventTrace() = %v, want nil", tr)
+	}
+	tr := obs.NewTrace(4)
+	eng = NewEngine(EngineConfig{Parallelism: 3, EventTrace: tr})
+	if eng.Parallelism() != 3 || eng.EventTrace() != tr {
+		t.Fatal("explicit Parallelism and EventTrace must be kept as given")
 	}
 }

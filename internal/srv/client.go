@@ -39,9 +39,12 @@ var ErrClientClosed = errors.New("srv: client closed")
 
 // Client speaks the wire protocol over one connection. It is safe for
 // concurrent use: requests are pipelined and responses are demuxed by
-// request id, so N goroutines can share one connection.
+// request id, so N goroutines can share one connection. A request that
+// races the server's graceful close fails with a typed shutting_down
+// ServerError, never with a lost connection.
 type Client struct {
-	nc net.Conn
+	nc   net.Conn
+	read chan struct{} // closed when the demux reader exits
 
 	wmu sync.Mutex // serializes request frames
 
@@ -59,7 +62,7 @@ type clientResp struct {
 // NewClient wraps an established connection and starts its demux
 // reader.
 func NewClient(nc net.Conn) *Client {
-	c := &Client{nc: nc, pending: make(map[uint64]chan clientResp)}
+	c := &Client{nc: nc, read: make(chan struct{}), pending: make(map[uint64]chan clientResp)}
 	go c.readLoop()
 	return c
 }
@@ -93,8 +96,12 @@ func (c *Client) fail(err error) {
 	}
 }
 
-// readLoop demuxes response frames to their waiting requests.
+// readLoop demuxes response frames to their waiting requests. A GOAWAY
+// frame ends the connection: the server answered every request up to
+// its last id before sending it, so whatever is still pending — and
+// everything sent from now on — was refused by the closing server.
 func (c *Client) readLoop() {
+	defer close(c.read)
 	for {
 		h, body, err := readFrame(c.nc, DefaultMaxFrameBytes)
 		if err != nil {
@@ -104,6 +111,12 @@ func (c *Client) readLoop() {
 			c.fail(fmt.Errorf("srv: connection lost: %w", err))
 			c.nc.Close()
 			return
+		}
+		if h.Type == TGoAway {
+			var g GoAway
+			_ = json.Unmarshal(body, &g) // the id only labels the error; a bad body still means goodbye
+			c.fail(&ServerError{Code: CodeShutdown, Message: fmt.Sprintf("server closed the connection after request %d", g.LastID)})
+			continue
 		}
 		c.mu.Lock()
 		ch, ok := c.pending[h.ID]
@@ -148,11 +161,19 @@ func (c *Client) do(ctx context.Context, typ uint8, body any) (clientResp, error
 	err := writeFrame(c.nc, h, body)
 	c.wmu.Unlock()
 	if err != nil {
+		// The write fails when the server has closed the connection. A
+		// GOAWAY it sent first may still be in the reader's hands; the
+		// reader ends with the connection, so wait for it to decide the
+		// error before reporting a lost send.
+		select {
+		case <-c.read:
+		case <-ctx.Done():
+		}
+		c.fail(fmt.Errorf("srv: send request: %w", err))
 		c.mu.Lock()
 		delete(c.pending, id)
+		err = c.err
 		c.mu.Unlock()
-		err = fmt.Errorf("srv: send request: %w", err)
-		c.fail(err)
 		return clientResp{}, err
 	}
 	select {

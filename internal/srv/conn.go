@@ -27,36 +27,50 @@ type srvConn struct {
 	id     int
 	out    chan outMsg
 	closed chan struct{}
+	read   chan struct{} // closed once the reader has exited
 	once   sync.Once
 	bucket *bucket
 	hist   *obs.Histogram
-	reqSeq int // request index on this connection, keys chaos draws
+	reqSeq int    // request index on this connection, keys chaos draws
+	lastID uint64 // id of the last request frame read; final once the reader exits
 }
 
-// serveConn runs one connection to completion. Panics anywhere in the
-// connection's goroutines are isolated: the connection dies, the server
-// does not.
-func (s *Server) serveConn(nc net.Conn, connID int) {
-	defer s.connWG.Done()
+// register admits an accepted connection before its goroutines start,
+// so a drain that begins afterwards always finds it. A connection
+// accepted while the server drains is closed gracefully from the start:
+// it answers nothing but still ends with GOAWAY. register returns nil
+// once the server has closed.
+func (s *Server) register(nc net.Conn, connID int) *srvConn {
 	c := &srvConn{
 		s:      s,
 		nc:     nc,
 		id:     connID,
 		out:    make(chan outMsg, 32),
 		closed: make(chan struct{}),
+		read:   make(chan struct{}),
 		bucket: newBucket(s.cfg.QuotaRate, s.cfg.QuotaBurst),
 		hist:   obs.NewCycleHistogram(),
 	}
 	s.mu.Lock()
-	if s.state != stateRunning {
-		s.mu.Unlock()
+	defer s.mu.Unlock()
+	if s.state == stateClosed {
 		nc.Close()
-		return
+		return nil
+	}
+	if s.state == stateDraining {
+		c.closeGraceful()
 	}
 	s.conns[c] = struct{}{}
-	s.mu.Unlock()
+	s.connWG.Add(1)
 	mConnsOpened.Inc()
+	return c
+}
 
+// serveConn runs one registered connection to completion. Panics
+// anywhere in the connection's goroutines are isolated: the connection
+// dies, the server does not.
+func (s *Server) serveConn(c *srvConn) {
+	defer s.connWG.Done()
 	var writerWG sync.WaitGroup
 	writerWG.Add(1)
 	go func() {
@@ -64,6 +78,7 @@ func (s *Server) serveConn(nc net.Conn, connID int) {
 		c.writeLoop()
 	}()
 	c.readLoop()
+	close(c.read)
 	c.close(false)
 	writerWG.Wait()
 
@@ -88,6 +103,15 @@ func (c *srvConn) close(force bool) {
 	}
 }
 
+// closeGraceful stops the reader at the next frame boundary. Every frame
+// it has read is answered; then serveConn closes the connection, whose
+// writer flushes those answers and ends with a GOAWAY frame.
+func (c *srvConn) closeGraceful() {
+	// An error means the socket is already closed, which stops the
+	// reader just the same.
+	_ = c.nc.SetReadDeadline(time.Now())
+}
+
 // send queues a response for the writer. It blocks only while the
 // writer is saturated, and gives up when the connection is closing —
 // a response to a dead connection is not worth a wedged worker.
@@ -102,7 +126,9 @@ func (c *srvConn) send(reqID uint64, typ uint8, body any) {
 // writeLoop is the connection's only writer: it serializes response
 // frames, each under a write deadline so a slow client is disconnected
 // rather than allowed to pin the connection's memory forever. On
-// shutdown it flushes what is already queued, then closes the socket.
+// shutdown it flushes what is already queued and, when the server is
+// stopping, ends with a GOAWAY frame carrying the last request id the
+// reader accepted; then it closes the socket.
 func (c *srvConn) writeLoop() {
 	defer func() {
 		if r := recover(); r != nil {
@@ -125,10 +151,25 @@ func (c *srvConn) writeLoop() {
 						return
 					}
 				default:
+					c.writeGoAway()
 					return
 				}
 			}
 		}
+	}
+}
+
+// writeGoAway ends a graceful close: once the reader has stopped and the
+// server is stopping, it tells the client the last request id that was
+// read, so requests the client sent after it fail as shutting_down
+// instead of as a lost connection. A hard close sends nothing.
+func (c *srvConn) writeGoAway() {
+	select {
+	case <-c.read:
+		if c.s.stopping() {
+			c.writeOne(outMsg{h: header{Version: ProtoVersion, Type: TGoAway}, body: GoAway{LastID: c.lastID}})
+		}
+	default:
 	}
 }
 
@@ -160,8 +201,9 @@ func (c *srvConn) readLoop() {
 		}
 		h, body, err := readFrame(c.nc, c.s.maxFrame())
 		if err != nil {
-			return // EOF, peer gone, or oversized/corrupt frame
+			return // EOF, peer gone, graceful close, or oversized/corrupt frame
 		}
+		c.lastID = h.ID
 		if h.Version != ProtoVersion {
 			c.send(h.ID, TError, ErrorResponse{
 				Code:    CodeBadVersion,

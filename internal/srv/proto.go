@@ -52,6 +52,11 @@ const (
 	TResult uint8 = 16
 	// TError carries an ErrorResponse.
 	TError uint8 = 17
+	// TGoAway is the last frame of a graceful close. Its GoAway body
+	// names the last request id the server read on the connection;
+	// every request up to it has been answered, and none after it will
+	// be.
+	TGoAway uint8 = 18
 )
 
 // Typed error codes carried by ErrorResponse.
@@ -199,6 +204,11 @@ type TableRequest struct {
 type TableResponse struct {
 	ID   string `json:"id"`
 	Text string `json:"text"`
+}
+
+// GoAway is the body of a TGoAway frame.
+type GoAway struct {
+	LastID uint64 `json:"last_id"`
 }
 
 // ErrorResponse is the body of every TError frame.

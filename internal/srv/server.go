@@ -11,6 +11,7 @@ import (
 
 	"cash/internal/bench"
 	"cash/internal/chaos"
+	"cash/internal/core"
 	"cash/internal/obs"
 	"cash/internal/serve"
 )
@@ -50,9 +51,10 @@ const (
 // Config tunes a Server. The zero value (plus an Engine) is a working
 // server with quotas disabled and chaos off.
 type Config struct {
-	// Engine serves the requests. Nil uses the shared process-default
-	// engine. The Server never closes the engine — lifecycles compose
-	// from the outside (shut the server down, then close the engine).
+	// Engine serves the requests. Nil gives the server a private engine
+	// with the default configuration. The Server never closes the
+	// engine — lifecycles compose from the outside (shut the server
+	// down, then close the engine).
 	Engine *serve.Engine
 	// Workers bounds the worker pool executing requests; queued work
 	// beyond it waits in the request queue. 0 means DefaultWorkers.
@@ -137,7 +139,7 @@ type Server struct {
 func New(cfg Config) *Server {
 	eng := cfg.Engine
 	if eng == nil {
-		eng = serve.Default()
+		eng = serve.NewEngine(serve.EngineConfig{})
 	}
 	depth := cfg.QueueDepth
 	if depth == 0 {
@@ -276,8 +278,9 @@ func (s *Server) Serve(l net.Listener) error {
 			nc.Close()
 			continue
 		}
-		s.connWG.Add(1)
-		go s.serveConn(nc, connID)
+		if c := s.register(nc, connID); c != nil {
+			go s.serveConn(c)
+		}
 	}
 }
 
@@ -434,7 +437,7 @@ func (s *Server) execute(ctx context.Context, t *task) (any, error) {
 		if err := decode(t.body, &req); err != nil {
 			return nil, err
 		}
-		cmp, err := s.eng.CompareContext(ctx, req.Name, req.Source, req.Options.Options())
+		cmp, err := s.eng.CompareStrategiesContext(ctx, req.Name, req.Source, core.CompareConfig{Options: req.Options.Options()})
 		if err != nil {
 			return nil, buildErr(ctx, err)
 		}
@@ -452,7 +455,7 @@ func (s *Server) execute(ctx context.Context, t *task) (any, error) {
 		if err := decode(t.body, &req); err != nil {
 			return nil, err
 		}
-		tab, err := bench.TableByID(ctx, s.eng, req.ID, req.Requests)
+		tab, err := bench.TableByID(ctx, s.eng, bench.Config{}, req.ID, req.Requests)
 		if err != nil {
 			if ctx.Err() != nil {
 				return nil, ctx.Err()
@@ -548,8 +551,8 @@ func (s *Server) Close() error {
 }
 
 // closeConns signals every live connection to shut down. force severs
-// the sockets immediately (hard cancel); otherwise writers flush their
-// queued responses first.
+// the sockets immediately (hard cancel); otherwise each connection
+// stops reading, answers every frame it has read and ends with GOAWAY.
 func (s *Server) closeConns(force bool) {
 	s.mu.Lock()
 	conns := make([]*srvConn, 0, len(s.conns))
@@ -558,6 +561,10 @@ func (s *Server) closeConns(force bool) {
 	}
 	s.mu.Unlock()
 	for _, c := range conns {
-		c.close(force)
+		if force {
+			c.close(true)
+		} else {
+			c.closeGraceful()
+		}
 	}
 }

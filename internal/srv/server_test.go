@@ -215,6 +215,30 @@ func TestServerRoundtrips(t *testing.T) {
 	})
 }
 
+// TestServerRejectsDeepNesting: a program nested two million levels
+// deep fits under the frame cap and used to overflow the goroutine
+// stack, a fatal error no per-request isolation can catch. It is now a
+// typed client error, and the server keeps serving.
+func TestServerRejectsDeepNesting(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a 4 MB source")
+	}
+	checkGoroutines(t)
+	_, l := startServer(t, Config{})
+	c := dialClient(t, l)
+	ctx := ctxT(t, 60*time.Second)
+	const levels = 2_000_000
+	src := "int x;\nvoid main() { x = " + strings.Repeat("(", levels) + "1" + strings.Repeat(")", levels) + "; }\n"
+	_, err := c.Build(ctx, BuildRequest{Source: src, Mode: "cash"})
+	var se *ServerError
+	if !errors.As(err, &se) || se.Code != CodeBadRequest || !strings.Contains(se.Message, "nesting exceeds") {
+		t.Fatalf("deep nesting: err=%v, want typed %s", err, CodeBadRequest)
+	}
+	if _, err := c.Run(ctx, RunRequest{Source: srcQuick, Mode: "cash"}); err != nil {
+		t.Fatalf("request after the rejected one: %v", err)
+	}
+}
+
 func TestServerBadVersionClosesConn(t *testing.T) {
 	checkGoroutines(t)
 	_, l := startServer(t, Config{})
@@ -502,13 +526,25 @@ func TestServerPanicIsolation(t *testing.T) {
 // Drain and shutdown
 // ---------------------------------------------------------------------
 
+// TestServerGracefulDrain pins the drain contract deterministically: the
+// in-flight request is held in the worker until the probe on a second
+// connection has been answered, so the probe always meets a server that
+// is draining but has not yet closed its connection.
 func TestServerGracefulDrain(t *testing.T) {
 	checkGoroutines(t)
 	started := make(chan struct{})
+	probed := make(chan struct{})
+	release := sync.OnceFunc(func() { close(probed) })
 	var once sync.Once
 	s, l := startServer(t, Config{
-		execHook: func(t *task) { once.Do(func() { close(started) }) },
+		execHook: func(t *task) {
+			once.Do(func() {
+				close(started)
+				<-probed
+			})
+		},
 	})
+	t.Cleanup(release) // runs before the server's teardown if the test fails early
 	cA := dialClient(t, l)
 	cB := dialClient(t, l)
 	ctx := ctxT(t, 60*time.Second)
@@ -517,7 +553,7 @@ func TestServerGracefulDrain(t *testing.T) {
 	var resp *RunResponse
 	go func() {
 		var err error
-		resp, err = cA.Run(ctx, RunRequest{Source: slowSource(2), Mode: "cash", Options: bigStep})
+		resp, err = cA.Run(ctx, RunRequest{Source: srcQuick, Mode: "cash"})
 		inFlight <- err
 	}()
 	<-started
@@ -538,6 +574,7 @@ func TestServerGracefulDrain(t *testing.T) {
 	if !errors.As(err, &se) || se.Code != CodeShutdown {
 		t.Fatalf("request during drain: err=%v, want typed %s", err, CodeShutdown)
 	}
+	release()
 
 	// The in-flight request finishes and its response is flushed.
 	if err := <-inFlight; err != nil {
@@ -549,9 +586,39 @@ func TestServerGracefulDrain(t *testing.T) {
 	if err := <-shutdownDone; err != nil {
 		t.Fatalf("graceful Shutdown returned %v", err)
 	}
+	// After the drain the connection ended with GOAWAY: a late request
+	// is refused with the same typed error, not a lost connection.
+	_, err = cB.Run(ctx, RunRequest{Source: srcQuick, Mode: "cash"})
+	if !errors.As(err, &se) || se.Code != CodeShutdown {
+		t.Fatalf("request after drain: err=%v, want typed %s", err, CodeShutdown)
+	}
 	// New dials fail: the listener is gone.
 	if _, err := l.Dial(); err == nil {
 		t.Fatal("dial after shutdown must fail")
+	}
+}
+
+// TestClientGoAwayIsShuttingDown drives the client against a scripted
+// server end of a pipe: a request the server read but did not accept,
+// and a request whose write meets the closed connection, both fail as
+// typed shutting_down once the server has sent GOAWAY.
+func TestClientGoAwayIsShuttingDown(t *testing.T) {
+	for _, readFirst := range []bool{true, false} {
+		cEnd, sEnd := net.Pipe()
+		c := NewClient(cEnd)
+		go func() {
+			if readFirst {
+				readFrame(sEnd, DefaultMaxFrameBytes)
+			}
+			writeFrame(sEnd, header{Version: ProtoVersion, Type: TGoAway}, GoAway{LastID: 0})
+			sEnd.Close()
+		}()
+		_, err := c.Run(ctxT(t, 10*time.Second), RunRequest{Source: srcQuick})
+		var se *ServerError
+		if !errors.As(err, &se) || se.Code != CodeShutdown {
+			t.Fatalf("readFirst=%v: err=%v, want typed %s", readFirst, err, CodeShutdown)
+		}
+		c.Close()
 	}
 }
 

@@ -14,7 +14,7 @@ func TestAllWorkloadsRunIdenticallyAcrossModes(t *testing.T) {
 		w := w
 		t.Run(w.Name, func(t *testing.T) {
 			t.Parallel()
-			cmp, err := core.Compare(w.Name, w.Source, core.Options{})
+			cmp, err := core.CompareStrategies(w.Name, w.Source, core.CompareConfig{Options: core.Options{}})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -35,7 +35,7 @@ func TestKernelsAreArrayIntensive(t *testing.T) {
 		w := w
 		t.Run(w.Name, func(t *testing.T) {
 			t.Parallel()
-			cmp, err := core.Compare(w.Name, w.Source, core.Options{})
+			cmp, err := core.CompareStrategies(w.Name, w.Source, core.CompareConfig{Options: core.Options{}})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -63,7 +63,7 @@ func TestKernelCashOverheadSmall(t *testing.T) {
 		w := w
 		t.Run(w.Name, func(t *testing.T) {
 			t.Parallel()
-			cmp, err := core.Compare(w.Name, w.Source, core.Options{SegRegs: 4})
+			cmp, err := core.CompareStrategies(w.Name, w.Source, core.CompareConfig{Options: core.Options{SegRegs: 4}})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -112,7 +112,7 @@ func TestMatMulScaling(t *testing.T) {
 	var last float64 = 1e9
 	for _, n := range []int{8, 16, 32} {
 		w := MatMul(n)
-		cmp, err := core.Compare(w.Name, w.Source, core.Options{})
+		cmp, err := core.CompareStrategies(w.Name, w.Source, core.CompareConfig{Options: core.Options{}})
 		if err != nil {
 			t.Fatal(err)
 		}
