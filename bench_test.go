@@ -8,7 +8,6 @@ package cash
 
 import (
 	"context"
-	"flag"
 	"testing"
 
 	"cash/internal/bench"
@@ -19,11 +18,6 @@ import (
 	"cash/internal/workload"
 	"cash/internal/x86seg"
 )
-
-// -tier2 runs the benchmarks under superblock execution (Options.Tier2),
-// the BENCH_6.json comparison axis. Simulated metrics are identical
-// either way; only host ns/op moves.
-var benchTier2 = flag.Bool("tier2", false, "benchmark with tier-2 superblock execution")
 
 // reportComparison attaches the paper's metrics to a benchmark.
 func reportComparison(b *testing.B, cmp *core.Comparison) {
@@ -44,7 +38,7 @@ func BenchmarkTable1Kernels(b *testing.B) {
 			var cmp *core.Comparison
 			var err error
 			for i := 0; i < b.N; i++ {
-				cmp, err = core.CompareStrategies(w.Name, w.Source, core.CompareConfig{Options: core.Options{SegRegs: 4, Tier2: *benchTier2}})
+				cmp, err = core.CompareStrategies(w.Name, w.Source, core.CompareConfig{Options: core.Options{SegRegs: 4}})
 				if err != nil {
 					b.Fatal(err)
 				}

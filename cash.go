@@ -279,10 +279,9 @@ func (e *Engine) CompareStrategiesContext(ctx context.Context, name, source stri
 }
 
 // BenchConfig is the harness configuration the table generators
-// compile and run under: IR passes applied to every experiment, tier-2
-// execution, and the strategy-matrix filter. The zero value is the
-// paper's exact replication; the checked-in goldens pin both it and
-// Passes rce,hoist, and tier-2 must reproduce them byte for byte.
+// compile and run under: IR passes applied to every experiment and the
+// strategy-matrix filter. The zero value is the paper's exact
+// replication; the checked-in goldens pin both it and Passes rce,hoist.
 // Validate rejects unknown strategy names.
 type BenchConfig = bench.Config
 

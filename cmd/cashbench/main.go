@@ -21,8 +21,6 @@
 //	-store DIR   persist compiled artifacts and deterministic run
 //	             outcomes under DIR; a later process pointed at the same
 //	             DIR warm-starts from them (tables stay byte-identical)
-//	-snapshots   clone pre-warmed machines from copy-on-write snapshots
-//	             instead of building each machine from scratch
 //
 // The resilience experiment (fault injection against the network
 // servers) takes two extra knobs; the same seed and rate always
@@ -90,7 +88,7 @@ type tableTimingJSON struct {
 }
 
 // sbCountersJSON is the tier-2 superblock activity this process
-// accumulated (zero across the board when -tier2 is off).
+// accumulated.
 type sbCountersJSON struct {
 	Compiled      uint64 `json:"compiled"`
 	Entries       uint64 `json:"entries"`
@@ -110,7 +108,6 @@ type kernelTimingJSON struct {
 type timingReportJSON struct {
 	Requests    int                `json:"requests"`
 	Parallelism int                `json:"parallelism"`
-	Tier2       bool               `json:"tier2"`
 	TotalHostNS int64              `json:"total_host_ns"`
 	SB          sbCountersJSON     `json:"sb"`
 	Tables      []tableTimingJSON  `json:"tables"`
@@ -137,17 +134,14 @@ func run() (err error) {
 		noCache     = flag.Bool("no-cache", false, "disable the Engine's artifact/run cache")
 		noPool      = flag.Bool("no-pool", false, "disable the Engine's machine pool")
 		passesFlag  = flag.String("passes", "", "comma-separated IR optimization passes (rce,hoist,affine,chop) applied to every experiment")
-		tier2       = flag.Bool("tier2", false, "execute every experiment through the tier-2 superblock engine (tables stay byte-identical)")
 		strategy    = flag.String("strategy", "", "comma-separated checking strategies restricting -table strategy-matrix (default: every registered strategy)")
 		storeDir    = flag.String("store", "", "root a persistent on-disk artifact/run store at this directory (survives the process; a second run warm-starts from it)")
 		storeBudget = flag.Int64("store-budget", 0, "on-disk store byte budget (0 = 1 GiB default, negative = unlimited); only with -store")
-		snapshots   = flag.Bool("snapshots", false, "clone pre-warmed machines from copy-on-write snapshots instead of building each from scratch")
 	)
 	flag.Parse()
 
 	bcfg := cash.BenchConfig{
 		Passes:     splitList(*passesFlag),
-		Tier2:      *tier2,
 		Strategies: splitList(*strategy),
 	}
 	if err := bcfg.Validate(); err != nil {
@@ -158,7 +152,6 @@ func run() (err error) {
 		Parallelism: *parallel,
 		StoreDir:    *storeDir,
 		StoreBytes:  *storeBudget,
-		Snapshots:   *snapshots,
 	}
 	if *noCache {
 		cfg.CacheBytes = -1
@@ -288,7 +281,7 @@ func run() (err error) {
 			if kerr != nil {
 				return kerr
 			}
-			if err := writeTimings(*jsonPath, *requests, *parallel, *tier2, elapsed, timings, kernels); err != nil {
+			if err := writeTimings(*jsonPath, *requests, *parallel, elapsed, timings, kernels); err != nil {
 				return err
 			}
 		}
@@ -369,12 +362,11 @@ func reportThroughput(elapsed time.Duration) {
 		instrs, cycles, elapsed.Seconds(), rate/1e6)
 }
 
-func writeTimings(path string, requests, parallel int, tier2 bool, elapsed time.Duration, timings []cash.TableTiming, kernels []cash.KernelTiming) error {
+func writeTimings(path string, requests, parallel int, elapsed time.Duration, timings []cash.TableTiming, kernels []cash.KernelTiming) error {
 	sbCompiled, sbEntries, sbDeopts, sbRetired := vm.SBCounters()
 	rep := timingReportJSON{
 		Requests:    requests,
 		Parallelism: parallel,
-		Tier2:       tier2,
 		TotalHostNS: elapsed.Nanoseconds(),
 		SB: sbCountersJSON{
 			Compiled:      sbCompiled,

@@ -27,8 +27,6 @@
 //	                  the same DIR warm-starts from them
 //	-store-budget N   on-disk store byte budget (0 = 1 GiB default,
 //	                  negative = unlimited)
-//	-snapshots        serve runs on machines cloned from copy-on-write
-//	                  snapshots instead of building each from scratch
 //
 // Chaos (wire-fault injection, for resilience testing):
 //
@@ -70,7 +68,6 @@ func main() {
 		cacheBudget  = flag.Int64("cache-budget", 0, "in-memory artifact/run cache byte budget (0 = 64 MiB default, negative = disabled)")
 		storeDir     = flag.String("store", "", "root a persistent on-disk artifact/run store at this directory; a restarted server warm-starts from it")
 		storeBudget  = flag.Int64("store-budget", 0, "on-disk store byte budget (0 = 1 GiB default, negative = unlimited); only with -store")
-		snapshots    = flag.Bool("snapshots", false, "serve runs on machines cloned from copy-on-write snapshots")
 	)
 	flag.Parse()
 
@@ -79,7 +76,6 @@ func main() {
 		CacheBytes:  *cacheBudget,
 		StoreDir:    *storeDir,
 		StoreBytes:  *storeBudget,
-		Snapshots:   *snapshots,
 	})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "cashserve: %v\n", err)

@@ -13,7 +13,7 @@ import (
 // under BCC, with the baseline pipeline versus the full one. The
 // computed-index references (i*n+j and friends) are exactly the checks
 // rce and hoist cannot touch.
-func ablationAffine(ctx context.Context, eng *serve.Engine, cfg Config) (*Table, error) {
+func ablationAffine(ctx context.Context, eng *serve.Engine) (*Table, error) {
 	t := &Table{
 		ID:      "ablation-affine",
 		Title:   "affine range-analysis ablation (BCC; rce+hoist vs rce+hoist+affine)",
@@ -27,11 +27,11 @@ func ablationAffine(ctx context.Context, eng *serve.Engine, cfg Config) (*Table,
 	t.Rows = make([][]string, len(ws))
 	err := eng.Do(len(ws), func(i int) error {
 		w := ws[i]
-		base, err := measurePasses(ctx, eng, cfg, w, []string{"rce", "hoist"})
+		base, err := measurePasses(ctx, eng, w, []string{"rce", "hoist"})
 		if err != nil {
 			return fmt.Errorf("%s base: %w", w.Name, err)
 		}
-		full, err := measurePasses(ctx, eng, cfg, w, []string{"rce", "hoist", "affine"})
+		full, err := measurePasses(ctx, eng, w, []string{"rce", "hoist", "affine"})
 		if err != nil {
 			return fmt.Errorf("%s full: %w", w.Name, err)
 		}

@@ -18,7 +18,7 @@ func TestGoldenAblationAffine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tab, err := ablationAffine(context.Background(), serve.NewEngine(serve.EngineConfig{}), Config{})
+	tab, err := ablationAffine(context.Background(), serve.NewEngine(serve.EngineConfig{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,11 +37,11 @@ func TestAffineClosesComputedIndexGap(t *testing.T) {
 	eng := serve.NewEngine(serve.EngineConfig{})
 	full := []string{"rce", "hoist", "affine"}
 	for _, w := range workload.Kernels() {
-		off, err := measurePasses(ctx, eng, Config{}, w, nil)
+		off, err := measurePasses(ctx, eng, w, nil)
 		if err != nil {
 			t.Fatalf("%s off: %v", w.Name, err)
 		}
-		on, err := measurePasses(ctx, eng, Config{}, w, full)
+		on, err := measurePasses(ctx, eng, w, full)
 		if err != nil {
 			t.Fatalf("%s full: %v", w.Name, err)
 		}
@@ -56,11 +56,11 @@ func TestAffineClosesComputedIndexGap(t *testing.T) {
 	// MatMul specifically must improve over the previous best pipeline:
 	// that is the gap this pass exists to close.
 	mm := workload.MatMul(40)
-	base, err := measurePasses(ctx, eng, Config{}, mm, []string{"rce", "hoist"})
+	base, err := measurePasses(ctx, eng, mm, []string{"rce", "hoist"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	on, err := measurePasses(ctx, eng, Config{}, mm, full)
+	on, err := measurePasses(ctx, eng, mm, full)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,11 +74,11 @@ func TestAffineClosesComputedIndexGap(t *testing.T) {
 
 	// The control: gather's data-dependent index must be left alone.
 	g := workload.Gather(256)
-	gBase, err := measurePasses(ctx, eng, Config{}, g, []string{"rce", "hoist"})
+	gBase, err := measurePasses(ctx, eng, g, []string{"rce", "hoist"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	gFull, err := measurePasses(ctx, eng, Config{}, g, full)
+	gFull, err := measurePasses(ctx, eng, g, full)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 
 	"cash/internal/core"
 	"cash/internal/serve"
+	"cash/internal/workload"
 )
 
 // detectorTable compares the bound-violation detectors the paper
@@ -32,24 +33,6 @@ void main() {
 	}
 	printi(total);
 }`
-
-// Overflow probes, one per memory region.
-const (
-	probeHeap = `
-void main() {
-	char *b = malloc(24);
-	for (int i = 0; i < 40; i++) b[i] = 'A';
-}`
-	probeGlobal = `
-int g[8];
-void main() { for (int i = 0; i <= 8; i++) g[i] = i; }`
-	probeStack = `
-void smash() {
-	int b[8];
-	for (int i = 0; i <= 8; i++) b[i] = i;
-}
-void main() { smash(); }`
-)
 
 type detectorVariant struct {
 	name string
@@ -99,8 +82,8 @@ func detectorTable(ctx context.Context, eng *serve.Engine, cfg Config) (*Table, 
 		}
 		results[i].cycles = res.Cycles
 		results[i].heapSpan = res.HeapSpan
-		for pi, probe := range []string{probeHeap, probeGlobal, probeStack} {
-			caught, err := detects(ctx, eng, cfg, probe, v)
+		for pi, probe := range workload.DetectorProbes() {
+			caught, err := detects(ctx, eng, cfg, probe.Source, v)
 			if err != nil {
 				return fmt.Errorf("%s: probe: %w", v.name, err)
 			}

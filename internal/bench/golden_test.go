@@ -56,26 +56,6 @@ func TestGoldenAllTables(t *testing.T) {
 	}
 }
 
-// TestGoldenAllTablesTier2 renders the full suite again through the
-// tier-2 superblock engine and diffs it against the *same* golden file:
-// tier-2 is a host-side execution strategy, so it must not move a
-// single simulated number. This is the test behind the CI tier-2 suite
-// lane (`cashbench -all -requests 200 -tier2`).
-func TestGoldenAllTablesTier2(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full table regeneration is slow; run without -short")
-	}
-	want, err := os.ReadFile("testdata/golden_all_200.txt")
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := renderAll(t, serve.NewEngine(serve.EngineConfig{}), Config{Tier2: true}, 200)
-	if got != string(want) {
-		t.Fatalf("tier-2 benchmark output drifted from the step-execution golden\ngot %d bytes, want %d bytes\n%s",
-			len(got), len(want), firstDiff(got, string(want)))
-	}
-}
-
 // TestParallelDeterminism checks that the worker budget cannot change any
 // result: the same tables rendered fully sequentially and with a large
 // budget must be byte-identical. Under -race this also exercises the

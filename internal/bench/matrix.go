@@ -61,14 +61,14 @@ func strategyMatrix(ctx context.Context, eng *serve.Engine, cfg Config) (*Table,
 	err := eng.Do(len(ws), func(wi int) error {
 		w := ws[wi]
 		// The differential baseline: unchecked gcc with no passes.
-		ref, err := matrixCell(ctx, eng, cfg, w, core.ModeGCC, nil)
+		ref, err := matrixCell(ctx, eng, w, core.ModeGCC, nil)
 		if err != nil {
 			return fmt.Errorf("%s gcc baseline: %w", w.Name, err)
 		}
 		for si, s := range strategies {
 			row := []string{w.Name, s}
 			for _, combo := range matrixPassCombos {
-				cell, err := matrixCell(ctx, eng, cfg, w, core.Mode(s), combo.passes)
+				cell, err := matrixCell(ctx, eng, w, core.Mode(s), combo.passes)
 				if err != nil {
 					return fmt.Errorf("%s %s %s: %w", w.Name, s, combo.label, err)
 				}
@@ -94,9 +94,9 @@ type matrixMeasurement struct {
 	output []int32
 }
 
-func matrixCell(ctx context.Context, eng *serve.Engine, cfg Config, w workload.Workload, mode core.Mode, passes []string) (matrixMeasurement, error) {
+func matrixCell(ctx context.Context, eng *serve.Engine, w workload.Workload, mode core.Mode, passes []string) (matrixMeasurement, error) {
 	var m matrixMeasurement
-	art, err := eng.BuildContext(ctx, w.Source, mode, core.Options{Passes: passes, Tier2: cfg.Tier2})
+	art, err := eng.BuildContext(ctx, w.Source, mode, core.Options{Passes: passes})
 	if err != nil {
 		return m, err
 	}

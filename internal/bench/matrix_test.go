@@ -116,11 +116,11 @@ func TestChopReducesChecks(t *testing.T) {
 	ws = append(ws, workload.StencilKernels()...)
 	var winners []string
 	for _, w := range ws {
-		off, err := matrixCell(ctx, eng, Config{}, w, core.ModeBCC, nil)
+		off, err := matrixCell(ctx, eng, w, core.ModeBCC, nil)
 		if err != nil {
 			t.Fatalf("%s off: %v", w.Name, err)
 		}
-		on, err := matrixCell(ctx, eng, Config{}, w, core.ModeBCC, []string{"chop"})
+		on, err := matrixCell(ctx, eng, w, core.ModeBCC, []string{"chop"})
 		if err != nil {
 			t.Fatalf("%s chop: %v", w.Name, err)
 		}

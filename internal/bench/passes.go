@@ -12,18 +12,13 @@ import (
 
 // Config is the harness configuration every experiment in this package
 // compiles and runs under. The zero value is the paper's exact
-// replication: no IR passes, step execution, and a strategy matrix that
-// sweeps the whole registry.
+// replication: no IR passes and a strategy matrix that sweeps the whole
+// registry.
 type Config struct {
 	// Passes are the IR optimization passes every experiment compiles
 	// with, so `cashbench -passes rce,hoist` regenerates the entire
 	// suite under the optimizing back end.
 	Passes []string
-	// Tier2 executes every experiment through the tier-2 superblock
-	// engine (`cashbench -tier2`). Tier-2 is output-identical to step
-	// execution, so the tables must not change — the CI tier-2 lane
-	// diffs the suite against the step goldens to prove it.
-	Tier2 bool
 	// Strategies restricts the strategy matrix to the named checking
 	// strategies (`cashbench -strategy mpx`); nil sweeps the registry.
 	Strategies []string
@@ -40,14 +35,10 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// opt stamps the configured passes and tier onto one experiment's build
-// options.
+// opt stamps the configured passes onto one experiment's build options.
 func (c Config) opt(o core.Options) core.Options {
 	if len(c.Passes) > 0 && o.Passes == nil {
 		o.Passes = c.Passes
-	}
-	if c.Tier2 {
-		o.Tier2 = true
 	}
 	return o
 }
@@ -63,7 +54,7 @@ func compare(ctx context.Context, eng *serve.Engine, cfg Config, w workload.Work
 // so eliminated checks translate directly into cycles): static and
 // dynamic software-check counts and cycles, with passes off versus
 // rce+hoist.
-func ablationPasses(ctx context.Context, eng *serve.Engine, cfg Config) (*Table, error) {
+func ablationPasses(ctx context.Context, eng *serve.Engine) (*Table, error) {
 	t := &Table{
 		ID:      "ablation-passes",
 		Title:   "IR optimization pass ablation (BCC; off vs rce+hoist)",
@@ -77,11 +68,11 @@ func ablationPasses(ctx context.Context, eng *serve.Engine, cfg Config) (*Table,
 	t.Rows = make([][]string, len(ws))
 	err := eng.Do(len(ws), func(i int) error {
 		w := ws[i]
-		off, err := measurePasses(ctx, eng, cfg, w, nil)
+		off, err := measurePasses(ctx, eng, w, nil)
 		if err != nil {
 			return fmt.Errorf("%s off: %w", w.Name, err)
 		}
-		on, err := measurePasses(ctx, eng, cfg, w, []string{"rce", "hoist"})
+		on, err := measurePasses(ctx, eng, w, []string{"rce", "hoist"})
 		if err != nil {
 			return fmt.Errorf("%s on: %w", w.Name, err)
 		}
@@ -108,12 +99,11 @@ type passMeasurement struct {
 	affine   uint64 // checks the affine pass replaced (0 unless it ran)
 }
 
-func measurePasses(ctx context.Context, eng *serve.Engine, cfg Config, w workload.Workload, passes []string) (passMeasurement, error) {
+func measurePasses(ctx context.Context, eng *serve.Engine, w workload.Workload, passes []string) (passMeasurement, error) {
 	var m passMeasurement
 	// Deliberately not cfg.opt(): the ablation's off-arm must stay
-	// pass-free even under `cashbench -passes`. The tier setting still
-	// applies — tier-2 is execution strategy, not code shape.
-	art, err := eng.BuildContext(ctx, w.Source, core.ModeBCC, core.Options{Passes: passes, Tier2: cfg.Tier2})
+	// pass-free even under `cashbench -passes`.
+	art, err := eng.BuildContext(ctx, w.Source, core.ModeBCC, core.Options{Passes: passes})
 	if err != nil {
 		return m, err
 	}

@@ -18,7 +18,7 @@ func TestGoldenAblationPasses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tab, err := ablationPasses(context.Background(), serve.NewEngine(serve.EngineConfig{}), Config{})
+	tab, err := ablationPasses(context.Background(), serve.NewEngine(serve.EngineConfig{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,11 +35,11 @@ func TestPassesImproveKernels(t *testing.T) {
 	eng := serve.NewEngine(serve.EngineConfig{})
 	improved := 0
 	for _, w := range workload.Kernels() {
-		off, err := measurePasses(ctx, eng, Config{}, w, nil)
+		off, err := measurePasses(ctx, eng, w, nil)
 		if err != nil {
 			t.Fatalf("%s off: %v", w.Name, err)
 		}
-		on, err := measurePasses(ctx, eng, Config{}, w, []string{"rce", "hoist"})
+		on, err := measurePasses(ctx, eng, w, []string{"rce", "hoist"})
 		if err != nil {
 			t.Fatalf("%s on: %v", w.Name, err)
 		}

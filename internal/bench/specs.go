@@ -114,13 +114,13 @@ func SpecsFor(cfg Config) []Spec {
 		// byte-identical; it has its own golden file.
 		{ID: "ablation-passes", Caption: "IR optimization pass ablation: rce + hoist on the kernels", InAll: false,
 			Generate: func(ctx context.Context, eng *serve.Engine, _ int) (*Table, error) {
-				return ablationPasses(ctx, eng, cfg)
+				return ablationPasses(ctx, eng)
 			}},
 		// Same reasoning: the affine ablation rides outside -all with its
 		// own golden, so the historical suite goldens stay byte-identical.
 		{ID: "ablation-affine", Caption: "affine range analysis on computed indices: kernels + range kernels", InAll: false,
 			Generate: func(ctx context.Context, eng *serve.Engine, _ int) (*Table, error) {
-				return ablationAffine(ctx, eng, cfg)
+				return ablationAffine(ctx, eng)
 			}},
 		// The strategy matrix also rides outside -all with its own
 		// golden: it post-dates the named-strategy registry, and folding

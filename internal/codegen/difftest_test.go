@@ -271,14 +271,14 @@ func TestDifferentialRandomPrograms(t *testing.T) {
 				)
 			}
 			for _, v := range variants {
-				res, err := runMode(t, src, v.cfg)
+				res, err := runMode(t, src, v.cfg, vm.WithStepInterpreter())
 				if err != nil {
 					t.Fatalf("%s: %v\nprogram:\n%s", v.name, err, src)
 				}
 				// Tier dimension: the same variant through the tier-2
 				// superblock engine must reproduce the step result
 				// completely — output, cycles, every counter.
-				res2, err2 := runMode(t, src, v.cfg, vm.WithTier2())
+				res2, err2 := runMode(t, src, v.cfg)
 				if err2 != nil {
 					t.Fatalf("%s tier2: %v\nprogram:\n%s", v.name, err2, src)
 				}
@@ -334,7 +334,7 @@ void main() {
 			// programs may differ in output prefix, never in outcome.
 			for _, mode := range []vm.Mode{vm.ModeBCC, vm.ModeCash, vm.ModeMPX} {
 				for _, passes := range [][]string{nil, {"rce"}, {"hoist"}, {"rce", "hoist"}, {"affine"}, {"chop"}, {"rce", "hoist", "affine", "chop"}} {
-					_, err := runMode(t, src, Config{Mode: mode, Passes: passes})
+					_, err := runMode(t, src, Config{Mode: mode, Passes: passes}, vm.WithStepInterpreter())
 					f, ok := err.(*vm.Fault)
 					if !ok || !f.IsBoundViolation() {
 						t.Fatalf("%v passes=%v: planted overflow not caught: %v\nprogram:\n%s",
@@ -342,7 +342,7 @@ void main() {
 					}
 					// The tier-2 engine must deliver the identical fault:
 					// same kind, selector, offset, detail.
-					_, err2 := runMode(t, src, Config{Mode: mode, Passes: passes}, vm.WithTier2())
+					_, err2 := runMode(t, src, Config{Mode: mode, Passes: passes})
 					if !reflect.DeepEqual(err, err2) {
 						t.Fatalf("%v passes=%v: tier-2 verdict differs\n step:  %v\n tier2: %v\nprogram:\n%s",
 							mode, passes, err, err2, src)
@@ -397,11 +397,11 @@ func TestDifferentialStencilKernels(t *testing.T) {
 			for _, mode := range []vm.Mode{vm.ModeGCC, vm.ModeBCC, vm.ModeCash, vm.ModeMPX} {
 				for _, passes := range [][]string{nil, {"chop"}, {"rce", "chop"}, {"rce", "hoist", "affine", "chop"}} {
 					cfg := Config{Mode: mode, Passes: passes}
-					res, err := runMode(t, w.Source, cfg)
+					res, err := runMode(t, w.Source, cfg, vm.WithStepInterpreter())
 					if err != nil {
 						t.Fatalf("%v passes=%v: %v", mode, passes, err)
 					}
-					res2, err2 := runMode(t, w.Source, cfg, vm.WithTier2())
+					res2, err2 := runMode(t, w.Source, cfg)
 					if err2 != nil {
 						t.Fatalf("%v passes=%v tier2: %v", mode, passes, err2)
 					}
@@ -435,11 +435,11 @@ func TestDifferentialRangeKernels(t *testing.T) {
 			for _, mode := range []vm.Mode{vm.ModeGCC, vm.ModeBCC, vm.ModeCash, vm.ModeMPX} {
 				for _, passes := range [][]string{nil, {"rce"}, {"hoist"}, {"affine"}, {"chop"}, {"rce", "hoist"}, {"rce", "hoist", "affine", "chop"}} {
 					cfg := Config{Mode: mode, Passes: passes}
-					res, err := runMode(t, w.Source, cfg)
+					res, err := runMode(t, w.Source, cfg, vm.WithStepInterpreter())
 					if err != nil {
 						t.Fatalf("%v passes=%v: %v", mode, passes, err)
 					}
-					res2, err2 := runMode(t, w.Source, cfg, vm.WithTier2())
+					res2, err2 := runMode(t, w.Source, cfg)
 					if err2 != nil {
 						t.Fatalf("%v passes=%v tier2: %v", mode, passes, err2)
 					}

@@ -185,8 +185,7 @@ func CompileIR(prog *minic.Program, cfg Config) (*vm.Program, *ir.Module, error)
 		p.Stats[k] = v
 	}
 	// Superblock hints for tier-2 execution: advisory loop spans in the
-	// exact offsets the EmitTo replay above assigned. Attached for every
-	// build — whether a machine uses them is a run option (Options.Tier2).
+	// exact offsets the EmitTo replay above assigned.
 	p.Regions = mod.SuperblockHints()
 	return p, mod, nil
 }

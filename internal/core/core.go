@@ -164,13 +164,6 @@ type Options struct {
 	Passes []string
 	// StepLimit bounds execution; 0 means the VM default.
 	StepLimit uint64
-	// Tier2 enables superblock execution: the compiler's loop regions
-	// are fused into single closures with bulk counter accounting,
-	// deopting to the step interpreter at precise instruction boundaries
-	// on any fault or side exit. Simulated output, counters and
-	// violation verdicts are identical to step execution; only host
-	// speed changes.
-	Tier2 bool
 	// EventTrace, when non-nil, receives structured machine events
 	// (segment-register loads, descriptor installs/evicts, faults, LDT
 	// traffic) from every machine the artifact creates. Nil — the
@@ -315,9 +308,6 @@ func (a *Artifact) NewMachine(extra ...vm.Option) (*vm.Machine, error) {
 	}
 	if a.opts.ElectricFence {
 		opts = append(opts, vm.WithPaging(64<<20), vm.WithElectricFence())
-	}
-	if a.opts.Tier2 {
-		opts = append(opts, vm.WithTier2())
 	}
 	opts = append(opts, extra...)
 	return vm.New(a.Program, a.vmMode, opts...)

@@ -37,7 +37,6 @@ type persistedOptions struct {
 	ElectricFence   bool
 	Passes          []string
 	StepLimit       uint64
-	Tier2           bool
 }
 
 // artifactBlob is the gob payload for one compiled artifact. The AST
@@ -72,7 +71,6 @@ func EncodeArtifact(a *Artifact) (data []byte, ok bool, err error) {
 			ElectricFence:   a.opts.ElectricFence,
 			Passes:          a.opts.Passes,
 			StepLimit:       a.opts.StepLimit,
-			Tier2:           a.opts.Tier2,
 		},
 		Program: a.Program,
 	}
@@ -115,7 +113,6 @@ func DecodeArtifact(data []byte) (*Artifact, error) {
 			ElectricFence:   blob.Opts.ElectricFence,
 			Passes:          blob.Opts.Passes,
 			StepLimit:       blob.Opts.StepLimit,
-			Tier2:           blob.Opts.Tier2,
 		},
 	}, nil
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"encoding/gob"
 	"reflect"
 	"testing"
 
@@ -49,6 +51,57 @@ func TestArtifactCodecRoundtrip(t *testing.T) {
 			t.Fatalf("%v: decoded run diverged: cycles %d vs %d, stats %+v vs %+v",
 				mode, got.Cycles, want.Cycles, got.Stats, want.Stats)
 		}
+	}
+}
+
+// TestArtifactCodecDecodesTier2Field pins blob compatibility with
+// stores written while tier 2 was an opt-in build option: a blob whose
+// options still carry the old Tier2 field decodes (gob drops the field)
+// and runs byte-identically to the artifact it was encoded from.
+func TestArtifactCodecDecodesTier2Field(t *testing.T) {
+	type legacyOptions struct {
+		SegRegs         int
+		SkipReadChecks  bool
+		UseBoundInstr   bool
+		WithoutCallGate bool
+		ElectricFence   bool
+		Passes          []string
+		StepLimit       uint64
+		Tier2           bool
+	}
+	type legacyBlob struct {
+		Version int
+		Mode    string
+		Opts    legacyOptions
+		Program *vm.Program
+	}
+	art, err := Build(sumKernel, ModeCash, Options{Passes: []string{"rce"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	old := legacyBlob{Version: persistVersion, Mode: string(ModeCash),
+		Opts: legacyOptions{Passes: []string{"rce"}, Tier2: true}, Program: art.Program}
+	if err := gob.NewEncoder(&buf).Encode(&old); err != nil {
+		t.Fatal(err)
+	}
+	back, err := DecodeArtifact(buf.Bytes())
+	if err != nil {
+		t.Fatalf("blob with a Tier2 field no longer decodes: %v", err)
+	}
+	if !reflect.DeepEqual(back.Options(), art.Options()) {
+		t.Fatalf("options drifted: %+v vs %+v", back.Options(), art.Options())
+	}
+	want, err := art.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := back.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Result, want.Result) {
+		t.Fatalf("decoded run diverged:\n%+v\nvs\n%+v", got.Result, want.Result)
 	}
 }
 

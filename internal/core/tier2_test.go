@@ -11,25 +11,21 @@ import (
 
 // Tier-2 superblock execution must be invisible in everything but host
 // speed: simulated output, cycle and check counters, fault identity and
-// violation verdicts have to match step execution byte for byte, on the
-// happy path and on every deopt path. These tests drive both engines
-// over the same programs — including runs forced to stop or fault at
-// every single instruction offset inside a compiled superblock — and
-// compare the complete results.
+// violation verdicts have to match the step interpreter — the reference
+// oracle, reached through vm.WithStepInterpreter — byte for byte, on the
+// happy path and on every deopt path. These tests run each program on
+// both engines — including runs forced to stop or fault at every single
+// instruction offset inside a compiled superblock — and compare the
+// complete results.
 
-// tierPair builds the same program twice: step-only and tier-2.
-func tierPair(t *testing.T, source string, mode Mode, opts Options) (step, tier2 *Artifact) {
+// mustBuild compiles source or fails the test.
+func mustBuild(t *testing.T, source string, mode Mode, opts Options) *Artifact {
 	t.Helper()
-	a1, err := Build(source, mode, opts)
+	art, err := Build(source, mode, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts.Tier2 = true
-	a2, err := Build(source, mode, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return a1, a2
+	return art
 }
 
 // runRaw executes one artifact on a fresh machine without the Run
@@ -43,13 +39,15 @@ func runRaw(t *testing.T, art *Artifact, extra ...vm.Option) (*vm.Result, error)
 	return m.Run()
 }
 
-// compareTiers runs both artifacts under identical machine options and
-// requires the full results — and any faults — to be identical, modulo
-// the tier-2 run's SB stats block.
-func compareTiers(t *testing.T, label string, step, tier2 *Artifact, extra ...vm.Option) {
+// compareTiers runs the artifact on the step interpreter and under
+// tier 2 with otherwise identical machine options, and requires the
+// full results — and any faults — to be identical, modulo the tier-2
+// run's SB stats block. It returns the tier-2 result (nil on a fault
+// that produced none).
+func compareTiers(t *testing.T, label string, art *Artifact, extra ...vm.Option) *vm.Result {
 	t.Helper()
-	r1, e1 := runRaw(t, step, extra...)
-	r2, e2 := runRaw(t, tier2, extra...)
+	r1, e1 := runRaw(t, art, append([]vm.Option{vm.WithStepInterpreter()}, extra...)...)
+	r2, e2 := runRaw(t, art, extra...)
 	if fmt.Sprint(e1) != fmt.Sprint(e2) || !reflect.DeepEqual(e1, e2) {
 		t.Fatalf("%s: errors differ\n step:  %v\n tier2: %v", label, e1, e2)
 	}
@@ -57,34 +55,66 @@ func compareTiers(t *testing.T, label string, step, tier2 *Artifact, extra ...vm
 		t.Fatalf("%s: one tier returned no result (step=%v tier2=%v)", label, r1 != nil, r2 != nil)
 	}
 	if r1 == nil {
-		return
+		return nil
+	}
+	if r1.SB != nil || r2.SB == nil {
+		t.Fatalf("%s: wrong engines ran (step SB=%+v, tier2 SB=%+v)", label, r1.SB, r2.SB)
 	}
 	c2 := *r2
 	c2.SB = nil
 	if !reflect.DeepEqual(*r1, c2) {
 		t.Fatalf("%s: results differ\n step:  %+v\n tier2: %+v", label, *r1, c2)
 	}
+	return r2
 }
 
-// TestTier2Equivalence runs every Table 1 kernel in all three modes
-// under both engines and requires identical results end to end.
+// TestTier2Equivalence pins the whole benchmark corpus to the step
+// interpreter: every Table 1 kernel, macro application and network
+// application in all three modes, plus the detectors table's overflow
+// probes under every detector, must produce identical results on both
+// engines.
 func TestTier2Equivalence(t *testing.T) {
-	for _, w := range workload.Kernels() {
-		for _, mode := range []Mode{ModeGCC, ModeBCC, ModeCash} {
-			a1, a2 := tierPair(t, w.Source, mode, Options{SegRegs: 4})
-			compareTiers(t, fmt.Sprintf("%s/%v", w.Name, mode), a1, a2)
-
-			// The tier-2 run must actually have used superblocks —
-			// equivalence by never entering them proves nothing.
-			r2, err := runRaw(t, a2)
-			if err != nil {
-				t.Fatalf("%s %v tier2: %v", w.Name, mode, err)
-			}
-			if r2.SB == nil || r2.SB.Entries == 0 || r2.SB.InstrsRetired == 0 {
-				t.Fatalf("%s %v: tier-2 run retired nothing in superblocks: %+v", w.Name, mode, r2.SB)
+	modes := []Mode{ModeGCC, ModeBCC, ModeCash}
+	programs := func(t *testing.T, ws []workload.Workload, opts Options) {
+		for _, w := range ws {
+			for _, mode := range modes {
+				t.Run(fmt.Sprintf("%s/%v", w.Name, mode), func(t *testing.T) {
+					r2 := compareTiers(t, "", mustBuild(t, w.Source, mode, opts))
+					// The tier-2 run must actually have used superblocks —
+					// equivalence by never entering them proves nothing.
+					if r2 == nil || r2.SB.Entries == 0 || r2.SB.InstrsRetired == 0 {
+						t.Fatalf("tier-2 run retired nothing in superblocks: %+v", r2)
+					}
+				})
 			}
 		}
 	}
+	t.Run("kernels", func(t *testing.T) { programs(t, workload.Kernels(), Options{SegRegs: 4}) })
+	t.Run("macros", func(t *testing.T) { programs(t, workload.Macros(), Options{}) })
+	t.Run("network", func(t *testing.T) { programs(t, workload.NetworkApps(), Options{}) })
+	t.Run("probes", func(t *testing.T) {
+		if testing.Short() {
+			t.Skip("unchecked probes run to the 2G-instruction step limit; run without -short")
+		}
+		detectors := []struct {
+			mode Mode
+			opts Options
+		}{
+			{ModeGCC, Options{}},
+			{ModeGCC, Options{ElectricFence: true}},
+			{ModeBCC, Options{}},
+			{ModeBCC, Options{UseBoundInstr: true}},
+			{ModeCash, Options{}},
+		}
+		for _, p := range workload.DetectorProbes() {
+			for _, d := range detectors {
+				t.Run(fmt.Sprintf("%s/%v/fence=%v/bound=%v", p.Name, d.mode, d.opts.ElectricFence, d.opts.UseBoundInstr), func(t *testing.T) {
+					t.Parallel()
+					compareTiers(t, "", mustBuild(t, p.Source, d.mode, d.opts))
+				})
+			}
+		}
+	})
 }
 
 // TestTier2RangeKernels extends the equivalence sweep to the range
@@ -95,15 +125,10 @@ func TestTier2RangeKernels(t *testing.T) {
 	for _, w := range workload.RangeKernels() {
 		for _, mode := range []Mode{ModeGCC, ModeBCC, ModeCash} {
 			opts := Options{SegRegs: 4, Passes: []string{"rce", "hoist", "affine"}}
-			a1, a2 := tierPair(t, w.Source, mode, opts)
-			compareTiers(t, fmt.Sprintf("%s/%v", w.Name, mode), a1, a2)
-
-			r2, err := runRaw(t, a2)
-			if err != nil {
-				t.Fatalf("%s %v tier2: %v", w.Name, mode, err)
-			}
-			if r2.SB == nil || r2.SB.Entries == 0 || r2.SB.InstrsRetired == 0 {
-				t.Fatalf("%s %v: tier-2 run retired nothing in superblocks: %+v", w.Name, mode, r2.SB)
+			label := fmt.Sprintf("%s/%v", w.Name, mode)
+			r2 := compareTiers(t, label, mustBuild(t, w.Source, mode, opts))
+			if r2 == nil || r2.SB.Entries == 0 || r2.SB.InstrsRetired == 0 {
+				t.Fatalf("%s: tier-2 run retired nothing in superblocks: %+v", label, r2)
 			}
 		}
 	}
@@ -129,14 +154,14 @@ void main() {
 // step-limit fault with the same counters as pure step execution.
 func TestTier2StepLimitEveryOffset(t *testing.T) {
 	for _, mode := range []Mode{ModeGCC, ModeBCC, ModeCash} {
-		a1, a2 := tierPair(t, tier2LoopProgram, mode, Options{})
-		clean, err := runRaw(t, a1)
+		art := mustBuild(t, tier2LoopProgram, mode, Options{})
+		clean, err := runRaw(t, art, vm.WithStepInterpreter())
 		if err != nil {
 			t.Fatalf("%v clean: %v", mode, err)
 		}
 		total := clean.Stats.Instructions
 		for limit := uint64(1); limit <= total+1; limit++ {
-			compareTiers(t, fmt.Sprintf("%v limit=%d", mode, limit), a1, a2,
+			compareTiers(t, fmt.Sprintf("%v limit=%d", mode, limit), art,
 				vm.WithStepLimit(limit))
 		}
 	}
@@ -157,8 +182,7 @@ void main() {
 	printi(x);
 }`
 	for _, mode := range []Mode{ModeGCC, ModeBCC, ModeCash} {
-		a1, a2 := tierPair(t, src, mode, Options{})
-		compareTiers(t, fmt.Sprintf("divide/%v", mode), a1, a2)
+		compareTiers(t, fmt.Sprintf("divide/%v", mode), mustBuild(t, src, mode, Options{}))
 	}
 }
 
@@ -176,9 +200,9 @@ void main() {
 	printi(b[0]);
 }`
 	for _, mode := range []Mode{ModeGCC, ModeBCC, ModeCash} {
-		a1, a2 := tierPair(t, src, mode, Options{})
-		r1, err1 := a1.Run()
-		r2, err2 := a2.Run()
+		art := mustBuild(t, src, mode, Options{})
+		r1, err1 := art.Run(vm.WithStepInterpreter())
+		r2, err2 := art.Run()
 		if fmt.Sprint(err1) != fmt.Sprint(err2) {
 			t.Fatalf("%v: run errors differ: %v vs %v", mode, err1, err2)
 		}
@@ -207,8 +231,8 @@ void main() {
 // manifest identically — same fault, same counters, same output — as
 // under step execution.
 func TestTier2ChaosDeoptSites(t *testing.T) {
-	a1, a2 := tierPair(t, sitesProgram, ModeCash, Options{StepLimit: 1_000_000})
-	reqAddr := a1.AST.Globals[0].Addr
+	art := mustBuild(t, sitesProgram, ModeCash, Options{StepLimit: 1_000_000})
+	reqAddr := art.AST.Globals[0].Addr
 	garbage := []byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF}
 	cases := []struct {
 		name  string
@@ -223,7 +247,7 @@ func TestTier2ChaosDeoptSites(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			compareTiers(t, tc.name, a1, a2, tc.extra...)
+			compareTiers(t, tc.name, art, tc.extra...)
 		})
 	}
 }
@@ -233,10 +257,7 @@ func TestTier2ChaosDeoptSites(t *testing.T) {
 // for a reason, and the dump is the first thing a reader sees of the
 // engine.
 func TestTier2DumpSuperblocks(t *testing.T) {
-	art, err := Build(tier2LoopProgram, ModeGCC, Options{Tier2: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	art := mustBuild(t, tier2LoopProgram, ModeGCC, Options{})
 	dump := art.DumpSuperblocks()
 	if dump == "" {
 		t.Fatal("empty superblock dump")

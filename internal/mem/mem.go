@@ -48,13 +48,6 @@ type Memory struct {
 	hiDirty uint32 // hi[hiDirty:] may be nonzero
 
 	pages map[uint32]*[PageSize]byte
-
-	// frozen is an immutable page map installed by Image.RestoreInto,
-	// shared read-only with the image (and every other memory restored
-	// from it). Reads fall through to it; the first write to a frozen
-	// page copies it into pages (copy-on-write) and bumps cowPages.
-	frozen   map[uint32]*[PageSize]byte
-	cowPages uint64
 }
 
 // Geometry identifies the arena layout of a dense memory: two Memory
@@ -116,21 +109,6 @@ func (m *Memory) recompute() {
 func (m *Memory) page(addr uint32, create bool) *[PageSize]byte {
 	pn := addr / PageSize
 	if p, ok := m.pages[pn]; ok {
-		return p
-	}
-	if fp, ok := m.frozen[pn]; ok {
-		if !create {
-			// Reads may serve the shared frozen page directly.
-			return fp
-		}
-		// First write to a frozen page: privatise a copy.
-		p := new([PageSize]byte)
-		*p = *fp
-		if m.pages == nil {
-			m.pages = make(map[uint32]*[PageSize]byte)
-		}
-		m.pages[pn] = p
-		m.cowPages++
 		return p
 	}
 	if !create {
@@ -387,8 +365,6 @@ func (m *Memory) PagesAllocated() int {
 // proportional to the bytes it actually wrote, not the arena sizes.
 func (m *Memory) Reset() {
 	clear(m.pages)
-	m.frozen = nil
-	m.cowPages = 0
 	if m.loDirty > 0 {
 		clear(m.lo[:m.loDirty])
 		m.loDirty = 0

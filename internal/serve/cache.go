@@ -38,12 +38,9 @@ func buildKey(source string, mode core.Mode, opts core.Options) string {
 	if opts.ElectricFence {
 		fixed[11] = 1
 	}
-	// Tier2 selects which execution engine the artifact's machines use,
-	// so tier-2 and step artifacts are distinct cache entries even
-	// though they compile the same code.
-	if opts.Tier2 {
-		fixed[12] = 1
-	}
+	// fixed[12] is reserved and stays 0: it keyed the execution engine
+	// when that was an option, and store entries written then keep
+	// their addresses (TestBuildKeyPinned).
 	binary.LittleEndian.PutUint64(fixed[16:], opts.StepLimit)
 	binary.LittleEndian.PutUint64(fixed[24:], uint64(len(source)))
 	h.Write(fixed[:])

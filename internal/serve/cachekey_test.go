@@ -37,3 +37,25 @@ func TestBuildKeyStrategySeparation(t *testing.T) {
 		t.Error("different names collide")
 	}
 }
+
+// TestBuildKeyPinned pins content addresses computed before tier 2
+// became the only execution engine, when the key still carried an
+// engine byte. Those builds left it 0, so their on-disk store entries
+// must keep the same addresses and warm-start a newer process.
+func TestBuildKeyPinned(t *testing.T) {
+	for _, c := range []struct {
+		src  string
+		mode core.Mode
+		opts core.Options
+		want string
+	}{
+		{"void main() { printi(1); }", core.ModeCash, core.Options{},
+			"371841b8a958672af78bb56445893073831f0ce1a0c59e97c48422856666a073"},
+		{heapKernel, core.ModeBCC, core.Options{SegRegs: 4, Passes: []string{"rce", "hoist"}, StepLimit: 1000000},
+			"a558fb916862447b8fa7f6e282136e2fad23ed9a839d5eb677ba6deaf5c0fbe3"},
+	} {
+		if got := buildKey(c.src, c.mode, c.opts); got != c.want {
+			t.Errorf("buildKey(%v, %+v) = %s, want %s: existing store entries would go cold", c.mode, c.opts, got, c.want)
+		}
+	}
+}

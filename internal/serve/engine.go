@@ -22,7 +22,6 @@ import (
 	"context"
 	"errors"
 	"runtime"
-	"sync"
 
 	"cash/internal/core"
 	"cash/internal/obs"
@@ -98,13 +97,6 @@ type EngineConfig struct {
 	// StoreBytes bounds the on-disk store. 0 means DefaultStoreBytes;
 	// negative means unlimited.
 	StoreBytes int64
-	// Snapshots enables copy-on-write machine snapshots: the first
-	// machine built for an artifact is snapshotted after construction
-	// and later machines are cloned from the snapshot with lazy page
-	// copying instead of re-zeroing arenas and replaying setup. Clones
-	// are pinned byte-identical to fresh machines (equivalence tests at
-	// the vm and serve layers). Off by default.
-	Snapshots bool
 }
 
 // Engine owns all cross-request serving state. Engines are safe for
@@ -114,11 +106,6 @@ type Engine struct {
 	cache *cache
 	pool  *pool
 	adm   admission
-	// snaps memoises one machine snapshot per compiled program (lazily,
-	// on first NewMachine with Snapshots enabled). Keyed by the Program
-	// pointer so canonical artifacts and their trace-bearing clones —
-	// which share the Program — share the snapshot.
-	snaps sync.Map // *vm.Program -> *snapEntry
 }
 
 // NewEngine returns an Engine for the given configuration. A StoreDir
@@ -320,7 +307,7 @@ func (e *Engine) NewMachine(art *core.Artifact, extra ...vm.Option) (*vm.Machine
 			mPoolFresh.Inc()
 		}
 	}
-	m, err := e.newMachine(art, opts, extra)
+	m, err := art.NewMachine(append(opts, extra...)...)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -338,62 +325,6 @@ func (e *Engine) NewMachine(art *core.Artifact, extra ...vm.Option) (*vm.Machine
 		}
 	}
 	return m, release, nil
-}
-
-// newMachine constructs the machine for an artifact — from the
-// artifact's warmed snapshot when snapshots are enabled and the
-// artifact supports them, else the ordinary fresh-build path. Both
-// paths accept pooled parts and produce machines pinned byte-identical
-// to each other.
-func (e *Engine) newMachine(art *core.Artifact, opts, extra []vm.Option) (*vm.Machine, error) {
-	if e.cfg.Snapshots {
-		if snap := e.snapshotFor(art); snap != nil {
-			sopts := make([]vm.Option, 0, len(opts)+len(extra)+1)
-			if tr := art.Options().EventTrace; tr != nil {
-				// The snapshot source is trace-free (traces observe a
-				// machine's life from construction, so a snapshot cannot
-				// carry one); a trace-bearing clone attaches its trace here.
-				sopts = append(sopts, vm.WithEventTrace(tr))
-			}
-			sopts = append(sopts, opts...)
-			sopts = append(sopts, extra...)
-			if m, err := snap.NewMachine(sopts...); err == nil {
-				return m, nil
-			}
-			// An option the snapshot cannot honor (paging, chaos, …):
-			// fall through to the fresh-build path. Option validation
-			// happens before any pooled part is touched, so the parts in
-			// opts are still clean.
-		}
-	}
-	return art.NewMachine(append(opts[:len(opts):len(opts)], extra...)...)
-}
-
-// snapEntry memoises one program's snapshot; the once makes the first
-// requester build it while concurrent requesters wait.
-type snapEntry struct {
-	once sync.Once
-	snap *vm.Snapshot
-}
-
-// snapshotFor returns the warmed snapshot for the artifact's program,
-// building it on first use. A nil return means the artifact cannot be
-// snapshotted (paging, electric fence, …) — that verdict is memoised
-// too, so the probe costs one machine build ever.
-func (e *Engine) snapshotFor(art *core.Artifact) *vm.Snapshot {
-	v, _ := e.snaps.LoadOrStore(art.Program, &snapEntry{})
-	ent := v.(*snapEntry)
-	ent.once.Do(func() {
-		// Snapshot a trace-free machine even when the triggering request
-		// carries a trace: the snapshot is shared by every future
-		// request for this program, traced or not.
-		m, err := art.WithEventTrace(nil).NewMachine()
-		if err != nil {
-			return
-		}
-		ent.snap, _ = m.Snapshot()
-	})
-	return ent.snap
 }
 
 // RunContext executes the artifact once, honoring ctx between simulated

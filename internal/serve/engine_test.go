@@ -104,36 +104,6 @@ func TestCacheHitIsByteIdentical(t *testing.T) {
 	}
 }
 
-// TestCacheTier2Distinct pins that tier-2 and step execution are
-// distinct cache entries: they compile the same code but execute it
-// through different engines, so one artifact must never serve both. A
-// tier-2 artifact's machines must actually run tier-2 (SB stats
-// present), and its results must still equal the step artifact's.
-func TestCacheTier2Distinct(t *testing.T) {
-	eng := NewEngine(EngineConfig{})
-	step := mustBuild(t, eng, heapKernel, core.ModeCash, core.Options{})
-	tier2 := mustBuild(t, eng, heapKernel, core.ModeCash, core.Options{Tier2: true})
-	if step == tier2 {
-		t.Fatal("tier-2 build served the step artifact from the cache")
-	}
-	if again := mustBuild(t, eng, heapKernel, core.ModeCash, core.Options{Tier2: true}); again != tier2 {
-		t.Fatal("repeated tier-2 build missed the cache")
-	}
-	res1 := mustRun(t, eng, step)
-	res2 := mustRun(t, eng, tier2)
-	if res1.SB != nil {
-		t.Fatal("step artifact reported superblock stats")
-	}
-	if res2.SB == nil || res2.SB.InstrsRetired == 0 {
-		t.Fatalf("tier-2 artifact did not execute through superblocks: %+v", res2.SB)
-	}
-	c1, c2 := *res1.Result, *res2.Result
-	c2.SB = nil
-	if !reflect.DeepEqual(c1, c2) {
-		t.Fatalf("tier-2 result differs from step result:\n%+v\nvs\n%+v", c1, c2)
-	}
-}
-
 // TestCacheErrorOutcomesAreCached pins that deterministic failures
 // (here: a runaway program's step-limit fault) are served from the run
 // cache too — the expensive part of the detectors table depends on it.

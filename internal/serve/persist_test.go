@@ -161,42 +161,6 @@ func TestPersistCorruptionIsMissNotError(t *testing.T) {
 	}
 }
 
-// TestSnapshotEngineEquivalence pins the snapshot fast path at the
-// serve layer: an engine cloning machines from copy-on-write snapshots
-// produces results byte-identical to one building machines from
-// scratch, across strategies, tiers, and violation outcomes.
-func TestSnapshotEngineEquivalence(t *testing.T) {
-	snapEng := mustOpen(t, EngineConfig{Snapshots: true, CacheBytes: -1})
-	plain := mustOpen(t, EngineConfig{CacheBytes: -1, PoolSize: -1})
-	cases := []struct {
-		src  string
-		mode core.Mode
-		opts core.Options
-	}{
-		{heapKernel, core.ModeGCC, core.Options{}},
-		{heapKernel, core.ModeCash, core.Options{}},
-		{heapKernel, core.ModeCash, core.Options{Tier2: true}},
-		{violationKernel, core.ModeCash, core.Options{}},
-	}
-	clones := counter("vm.snapshot.clones")
-	for _, tc := range cases {
-		want := mustRun(t, plain, mustBuild(t, plain, tc.src, tc.mode, tc.opts))
-		art := mustBuild(t, snapEng, tc.src, tc.mode, tc.opts)
-		// CacheBytes: -1 disables run memoisation, so every call below is
-		// a real simulation on a fresh snapshot clone.
-		for i := 0; i < 2; i++ {
-			got := mustRun(t, snapEng, art)
-			if !reflect.DeepEqual(want, got) {
-				t.Fatalf("[%v %+v] snapshot run %d differs:\n%+v\nvs\n%+v",
-					tc.mode, tc.opts, i, want, got)
-			}
-		}
-	}
-	if counter("vm.snapshot.clones") == clones {
-		t.Fatal("snapshot engine never cloned a snapshot")
-	}
-}
-
 // TestMemStoreReplacementAccounting is the regression test for the
 // size-accounting leak: re-inserting a key replaces the old entry's
 // bytes instead of adding to them, replacement never counts as an
@@ -278,8 +242,4 @@ func BenchmarkRunFreshMachine(b *testing.B) {
 
 func BenchmarkRunPooledMachine(b *testing.B) {
 	benchRun(b, EngineConfig{CacheBytes: -1})
-}
-
-func BenchmarkRunSnapshotClone(b *testing.B) {
-	benchRun(b, EngineConfig{CacheBytes: -1, Snapshots: true})
 }

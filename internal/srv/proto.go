@@ -103,7 +103,6 @@ type WireOptions struct {
 	ElectricFence   bool     `json:"electric_fence,omitempty"`
 	Passes          []string `json:"passes,omitempty"`
 	StepLimit       uint64   `json:"step_limit,omitempty"`
-	Tier2           bool     `json:"tier2,omitempty"`
 }
 
 // Options converts the wire form into build options.
@@ -116,7 +115,6 @@ func (w WireOptions) Options() core.Options {
 		ElectricFence:   w.ElectricFence,
 		Passes:          w.Passes,
 		StepLimit:       w.StepLimit,
-		Tier2:           w.Tier2,
 	}
 }
 

@@ -2,6 +2,8 @@ package srv
 
 import (
 	"bytes"
+	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -11,7 +13,7 @@ func TestFrameRoundtrip(t *testing.T) {
 	var buf bytes.Buffer
 	h := header{Version: ProtoVersion, Type: TRun, ID: 777, DeadlineMillis: 1500}
 	body := RunRequest{Source: "void main() {}", Mode: "cash",
-		Options: WireOptions{SegRegs: 4, Passes: []string{"rce", "hoist"}, Tier2: true}}
+		Options: WireOptions{SegRegs: 4, Passes: []string{"rce", "hoist"}}}
 	if err := writeFrame(&buf, h, body); err != nil {
 		t.Fatal(err)
 	}
@@ -26,9 +28,56 @@ func TestFrameRoundtrip(t *testing.T) {
 	if err := decode(raw, &back); err != nil {
 		t.Fatal(err)
 	}
-	if back.Source != body.Source || back.Mode != body.Mode || !back.Options.Tier2 ||
+	if back.Source != body.Source || back.Mode != body.Mode ||
 		back.Options.SegRegs != 4 || len(back.Options.Passes) != 2 {
 		t.Fatalf("body roundtrip: %+v", back)
+	}
+}
+
+// TestRunRequestIgnoresTier2 pins compatibility with clients written
+// while tier 2 was an opt-in wire option: unknown option fields are
+// ignored, so a request carrying "tier2": true decodes to the same
+// request as one without it and is answered with identical bytes.
+func TestRunRequestIgnoresTier2(t *testing.T) {
+	src, err := json.Marshal(srcQuick)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain := json.RawMessage(`{"source":` + string(src) + `,"mode":"cash","options":{"seg_regs":4}}`)
+	legacy := json.RawMessage(`{"source":` + string(src) + `,"mode":"cash","options":{"seg_regs":4,"tier2":true}}`)
+	var a, b RunRequest
+	if err := decode(plain, &a); err != nil {
+		t.Fatal(err)
+	}
+	if err := decode(legacy, &b); err != nil {
+		t.Fatalf("request with tier2 rejected: %v", err)
+	}
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("tier2 changed the decoded request:\n%+v\nvs\n%+v", a, b)
+	}
+
+	_, l := startServer(t, Config{})
+	nc, err := l.Dial()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	var bodies [2][]byte
+	for i, req := range []json.RawMessage{plain, legacy} {
+		if err := writeFrame(nc, header{Version: ProtoVersion, Type: TRun, ID: uint64(i + 1)}, req); err != nil {
+			t.Fatal(err)
+		}
+		h, body, err := readFrame(nc, DefaultMaxFrameBytes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if h.Type != TResult || h.ID != uint64(i+1) {
+			t.Fatalf("request %d answered with type %d id %d: %s", i+1, h.Type, h.ID, body)
+		}
+		bodies[i] = body
+	}
+	if !bytes.Equal(bodies[0], bodies[1]) {
+		t.Fatalf("tier2 changed the response:\n%s\nvs\n%s", bodies[0], bodies[1])
 	}
 }
 

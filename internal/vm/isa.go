@@ -312,7 +312,7 @@ type Program struct {
 	}
 
 	// sb caches the compiled superblock table (see superblock.go) the
-	// same way, built lazily on the first tier-2 machine.
+	// same way, built lazily on the first machine.
 	sb sbCache
 }
 

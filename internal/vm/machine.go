@@ -117,9 +117,8 @@ type Result struct {
 	Output   []int32
 	Stats    Stats
 	LDTStats ldt.Stats
-	// SB reports superblock activity when the machine ran with WithTier2;
-	// nil under step execution. Host-side observability only — no
-	// simulated quantity depends on it.
+	// SB reports superblock activity; nil under WithStepInterpreter.
+	// Host-side observability only — no simulated quantity depends on it.
 	SB *SBStats
 }
 
@@ -148,14 +147,16 @@ func WithStepLimit(n uint64) Option {
 	return func(m *Machine) { m.stepLimit = n }
 }
 
-// WithTier2 enables superblock execution (tier 2): the compiler's hot
-// regions are fused into single closures with bulk counter accounting,
+// WithStepInterpreter turns off superblock execution (tier 2), so every
+// instruction takes the per-instruction step interpreter. Machines
+// execute the compiler's hot regions as fused superblocks by default,
 // deopting to the step interpreter at a precise instruction boundary on
-// any fault or side exit (see superblock.go). Simulated output,
-// counters and violation verdicts are identical to step execution;
-// only host speed changes.
-func WithTier2() Option {
-	return func(m *Machine) { m.tier2 = true }
+// any fault or side exit (see superblock.go); simulated output,
+// counters and violation verdicts are identical either way. The step
+// interpreter is the reference oracle the equivalence tests compare
+// tier 2 against; it is a test option only.
+func WithStepInterpreter() Option {
+	return func(m *Machine) { m.step = true }
 }
 
 // WithTrace installs a hook receiving every address translation.
@@ -308,11 +309,11 @@ type Machine struct {
 	bnd      map[uint32][2]uint32
 	halted   bool
 	exitCode int32
-	cloned   bool // built from a Snapshot: publish COW-page deltas
 
-	// Tier-2 state (see superblock.go): the shared superblock table and
-	// this machine's entry/deopt/retired tallies.
-	tier2     bool
+	// Tier-2 state (see superblock.go): the shared superblock table (nil
+	// under WithStepInterpreter) and this machine's entry/deopt/retired
+	// tallies.
+	step      bool
 	sbt       *sbTable
 	sbEntries uint64
 	sbDeopts  uint64
@@ -357,7 +358,7 @@ func New(prog *Program, mode Mode, opts ...Option) (*Machine, error) {
 		o(m)
 	}
 	m.plain = m.pages == nil && m.trace == nil
-	if m.tier2 {
+	if !m.step {
 		m.sbt = prog.superblocks()
 	}
 	// Recycle pooled parts when their memory geometry matches this
@@ -530,10 +531,6 @@ func (m *Machine) Run() (res *Result, err error) {
 	n := len(c.exec)
 	startInstrs, startCycles := m.stats.Instructions, m.cycles
 	startSBEntries, startSBDeopts, startSBRetired := m.sbEntries, m.sbDeopts, m.sbRetired
-	var startCow uint64
-	if m.cloned {
-		startCow = m.memory.CowPages()
-	}
 	defer func() {
 		// Publish this run's observability delta: process-wide simulated
 		// work, the fault classification, and the per-machine paging and
@@ -541,7 +538,7 @@ func (m *Machine) Run() (res *Result, err error) {
 		// per-instruction path.
 		countSim(m.stats.Instructions-startInstrs, m.cycles-startCycles)
 		mRuns.Inc()
-		if m.tier2 {
+		if m.sbt != nil {
 			countSB(m.sbEntries-startSBEntries, m.sbDeopts-startSBDeopts,
 				m.sbRetired-startSBRetired)
 		}
@@ -555,9 +552,6 @@ func (m *Machine) Run() (res *Result, err error) {
 			m.pages.PublishMetrics()
 		}
 		m.ldtMgr.PublishMetrics()
-		if m.cloned {
-			mSnapCowPages.Add(m.memory.CowPages() - startCow)
-		}
 	}()
 	// nextStop folds cancellation polling into the step-limit compare:
 	// without a context it is the step limit itself; with one, the loop
