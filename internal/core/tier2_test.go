@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
 	"testing"
@@ -70,9 +71,9 @@ func compareTiers(t *testing.T, label string, art *Artifact, extra ...vm.Option)
 
 // TestTier2Equivalence pins the whole benchmark corpus to the step
 // interpreter: every Table 1 kernel, macro application and network
-// application in all three modes, plus the detectors table's overflow
-// probes under every detector, must produce identical results on both
-// engines.
+// application in all three modes, a program running in sparse memory
+// beyond both dense arenas, plus the detectors table's overflow probes
+// under every detector, must produce identical results on both engines.
 func TestTier2Equivalence(t *testing.T) {
 	modes := []Mode{ModeGCC, ModeBCC, ModeCash}
 	programs := func(t *testing.T, ws []workload.Workload, opts Options) {
@@ -92,6 +93,39 @@ func TestTier2Equivalence(t *testing.T) {
 	t.Run("kernels", func(t *testing.T) { programs(t, workload.Kernels(), Options{SegRegs: 4}) })
 	t.Run("macros", func(t *testing.T) { programs(t, workload.Macros(), Options{}) })
 	t.Run("network", func(t *testing.T) { programs(t, workload.NetworkApps(), Options{}) })
+	t.Run("sparse", func(t *testing.T) {
+		variants := []struct {
+			mode  Mode
+			fence bool
+		}{{ModeGCC, false}, {ModeBCC, false}, {ModeCash, false}, {ModeGCC, true}}
+		for _, v := range variants {
+			t.Run(fmt.Sprintf("%v/fence=%v", v.mode, v.fence), func(t *testing.T) {
+				art := mustBuild(t, sparseProgram, v.mode, Options{ElectricFence: v.fence})
+				r2 := compareTiers(t, "", art)
+				if r2 == nil || r2.SB.Entries == 0 || r2.SB.InstrsRetired == 0 {
+					t.Fatalf("tier-2 run retired nothing in superblocks: %+v", r2)
+				}
+				m, err := art.NewMachine()
+				if err != nil {
+					t.Fatal(err)
+				}
+				// Electric Fence's paging layer maps only the top 1 MiB of
+				// the stack, so there the deep recursion must end in a
+				// page fault (identical on both engines, checked above).
+				_, err = m.Run()
+				var f *vm.Fault
+				pageFault := errors.As(err, &f) && f.Kind == vm.FaultPage
+				if v.fence && !pageFault || !v.fence && err != nil {
+					t.Fatalf("run error = %v", err)
+				}
+				// The heap ends near 25 MiB, so the strided accesses above
+				// the 16 MiB lo arena touch one sparse page in four there.
+				if n := m.Memory().PagesAllocated(); n < 400 {
+					t.Fatalf("run materialised %d sparse pages, want the heap past the lo arena sparse-backed", n)
+				}
+			})
+		}
+	})
 	t.Run("probes", func(t *testing.T) {
 		if testing.Short() {
 			t.Skip("unchecked probes run to the 2G-instruction step limit; run without -short")
@@ -116,6 +150,34 @@ func TestTier2Equivalence(t *testing.T) {
 		}
 	})
 }
+
+// sparseProgram runs in sparse memory on both sides of the dense arenas.
+// Its 24 MB heap array runs from the low heap past the 16 MiB lo arena
+// and across three 4 MiB directories of the sparse page table; each page
+// is stored to twice, so the strided stores and loads take the tier-2
+// sparse-word path on existing pages, the exact fallback that
+// materialises them, and the arena fast path. The 300000-deep recursion
+// then runs a loop whose expression temporaries are pushed and popped
+// below the 2 MiB stack arena.
+const sparseProgram = `
+int depth(int n) {
+	if (n == 0) {
+		int s = 0;
+		for (int i = 0; i < 2000; i++) s = s + (i * 3) * (i + 1);
+		return s;
+	}
+	return depth(n - 1) + 1;
+}
+void main() {
+	int *a = malloc(24000000);
+	int n = 6000000;
+	for (int i = 0; i < n; i = i + 4099) a[i] = i;
+	for (int i = 0; i < n; i = i + 4099) a[i] = a[i] * 3 + 1;
+	int s = 0;
+	for (int i = 0; i < n; i = i + 4099) s = s + a[i];
+	printi(s);
+	printi(depth(300000));
+}`
 
 // TestTier2RangeKernels extends the equivalence sweep to the range
 // kernels under the full pass pipeline: the affine pass's preheader
@@ -266,4 +328,40 @@ func TestTier2DumpSuperblocks(t *testing.T) {
 	if _, err := art.Run(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// BenchmarkDetectorRunaway runs the detectors table's unchecked gcc
+// stack probe once to the default step limit: its clobbered frame sends
+// the stack climbing through sparse memory above the lo arena, so this
+// is the host cost of the sparse store under tier 2. It reports the
+// simulated instruction rate.
+func BenchmarkDetectorRunaway(b *testing.B) {
+	if testing.Short() {
+		b.Skip("runs 2G simulated instructions; run without -short")
+	}
+	var probe workload.Workload
+	for _, p := range workload.DetectorProbes() {
+		if p.Name == "probe-stack" {
+			probe = p
+		}
+	}
+	art, err := Build(probe.Source, ModeGCC, Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var instrs uint64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m, err := art.NewMachine()
+		if err != nil {
+			b.Fatal(err)
+		}
+		res, err := m.Run()
+		var f *vm.Fault
+		if !errors.As(err, &f) || f.Kind != vm.FaultStepLimit {
+			b.Fatalf("probe-stack under gcc: got %v, want the step-limit fault", err)
+		}
+		instrs += res.Stats.Instructions
+	}
+	b.ReportMetric(float64(instrs)/1e6/b.Elapsed().Seconds(), "Minstr/s")
 }

@@ -3,10 +3,12 @@
 // The simulated machine addresses a full 4 GiB physical space, but real
 // workloads touch only a few megabytes in two clusters: the low
 // code/data/heap span and the stack window just below the stack top. Those
-// two regions can be backed by contiguous []byte arenas (NewDense), which
-// turns the per-byte map lookup of the sparse store into a bounds check
-// and an array index. Addresses outside the arenas spill to the original
-// lazily-allocated page map, so the full 4 GiB space keeps working.
+// two regions can be backed by contiguous []byte arenas (NewDense), where
+// an access is a bounds check and an array index. Addresses outside the
+// arenas spill to a lazily-allocated sparse store, so the full 4 GiB space
+// keeps working: a two-level page table whose directory entries each
+// cover 4 MiB with 1024 page pointers, so finding a sparse page is two
+// indexed loads, never a hash.
 //
 // Physical memory itself never faults: protection is enforced above it,
 // by segmentation (internal/x86seg) and paging (internal/paging).
@@ -18,9 +20,21 @@ import "encoding/binary"
 // x86 page size so the paging layer maps 1:1 onto backing chunks.
 const PageSize = 4096
 
+// The sparse page table splits a 32-bit address into a 10-bit directory
+// index, a 10-bit page index and the 12-bit page offset.
+const (
+	pageShift = 12
+	dirShift  = 22
+	dirPages  = 1 << (dirShift - pageShift)
+)
+
+// pageDir maps the pages of one 4 MiB directory span; nil entries are
+// pages never written.
+type pageDir [dirPages]*[PageSize]byte
+
 // Memory is a byte-addressable 32-bit physical memory: up to two dense
-// arenas plus a sparse page map for everything else. The zero value is a
-// purely sparse memory, ready to use. Memory is not safe for concurrent
+// arenas plus a sparse page table for everything else. The zero value is
+// a purely sparse memory, ready to use. Memory is not safe for concurrent
 // use.
 type Memory struct {
 	// lo backs [0, len(lo)); lo4 and lo2 are len(lo)-3 and len(lo)-1,
@@ -47,7 +61,11 @@ type Memory struct {
 	loDirty uint32 // lo[:loDirty] may be nonzero
 	hiDirty uint32 // hi[hiDirty:] may be nonzero
 
-	pages map[uint32]*[PageSize]byte
+	// dir is the sparse page table, indexed by addr>>dirShift; nil
+	// entries are directories with no page yet. npages counts the pages
+	// materialised across all directories.
+	dir    [1 << (32 - dirShift)]*pageDir
+	npages int
 }
 
 // Geometry identifies the arena layout of a dense memory: two Memory
@@ -68,7 +86,7 @@ func (m *Memory) Geometry() Geometry {
 
 // New returns an empty, purely sparse physical memory.
 func New() *Memory {
-	return &Memory{pages: make(map[uint32]*[PageSize]byte)}
+	return &Memory{}
 }
 
 // NewDense returns a memory whose address ranges [0, loSize) and
@@ -106,20 +124,39 @@ func (m *Memory) recompute() {
 	}
 }
 
+// page returns the sparse page holding addr, or nil when it was never
+// written and create is false.
 func (m *Memory) page(addr uint32, create bool) *[PageSize]byte {
-	pn := addr / PageSize
-	if p, ok := m.pages[pn]; ok {
-		return p
+	d := m.dir[addr>>dirShift]
+	if d == nil {
+		if !create {
+			return nil
+		}
+		d = new(pageDir)
+		m.dir[addr>>dirShift] = d
 	}
-	if !create {
+	p := d[addr>>pageShift%dirPages]
+	if p == nil && create {
+		p = new([PageSize]byte)
+		d[addr>>pageShift%dirPages] = p
+		m.npages++
+	}
+	return p
+}
+
+// SparseWord returns the sparse page holding the 4-byte word at addr, for
+// callers that read or write that word in place: it is non-nil only when
+// the word lies wholly inside one page, outside both arenas, and the page
+// already exists. Every other access must take Read32/Write32. It is
+// small enough to inline into the tier-2 run loop's fallback arms.
+func (m *Memory) SparseWord(addr uint32) *[PageSize]byte {
+	if !m.inSparsePage(addr) {
 		return nil
 	}
-	if m.pages == nil {
-		m.pages = make(map[uint32]*[PageSize]byte)
+	if d := m.dir[addr>>dirShift]; d != nil {
+		return d[addr>>pageShift%dirPages]
 	}
-	p := new([PageSize]byte)
-	m.pages[pn] = p
-	return p
+	return nil
 }
 
 // Read8 returns the byte at addr. Unbacked memory reads as zero.
@@ -272,18 +309,21 @@ func (m *Memory) Read32(addr uint32) uint32 {
 	return m.read32Slow(addr)
 }
 
+// inSparsePage reports whether the 4-byte word at addr lies wholly inside
+// one page and starts outside both arenas. Such a word lies wholly in the
+// sparse store: lo starts at 0 and hiBase is page-aligned, so an in-page
+// word that starts above an arena's end or below its base stays there.
+func (m *Memory) inSparsePage(addr uint32) bool {
+	return addr%PageSize <= PageSize-4 && addr >= uint32(len(m.lo)) && addr-m.hiBase >= uint32(len(m.hi))
+}
+
 func (m *Memory) read32Slow(addr uint32) uint32 {
-	if addr%PageSize <= PageSize-4 && addr >= uint32(len(m.lo)) && addr-m.hiBase >= uint32(len(m.hi)) {
+	if m.inSparsePage(addr) {
 		if p := m.page(addr, false); p != nil {
 			off := addr % PageSize
 			return binary.LittleEndian.Uint32(p[off : off+4])
 		}
-		// The whole aligned word is sparse and unbacked, but a byte of it
-		// could live in an arena when the access straddles an arena edge;
-		// only the all-sparse case may short-circuit to zero.
-		if !m.straddlesArena(addr, 4) {
-			return 0
-		}
+		return 0
 	}
 	return uint32(m.Read8(addr)) | uint32(m.Read8(addr+1))<<8 |
 		uint32(m.Read8(addr+2))<<16 | uint32(m.Read8(addr+3))<<24
@@ -309,8 +349,7 @@ func (m *Memory) Write32(addr uint32, v uint32) {
 }
 
 func (m *Memory) write32Slow(addr uint32, v uint32) {
-	if addr%PageSize <= PageSize-4 && addr >= uint32(len(m.lo)) && addr-m.hiBase >= uint32(len(m.hi)) &&
-		!m.straddlesArena(addr, 4) {
+	if m.inSparsePage(addr) {
 		p := m.page(addr, true)
 		off := addr % PageSize
 		binary.LittleEndian.PutUint32(p[off:off+4], v)
@@ -320,19 +359,6 @@ func (m *Memory) write32Slow(addr uint32, v uint32) {
 	m.Write8(addr+1, uint8(v>>8))
 	m.Write8(addr+2, uint8(v>>16))
 	m.Write8(addr+3, uint8(v>>24))
-}
-
-// straddlesArena reports whether any byte of [addr, addr+n) falls inside
-// an arena while the first byte does not (the caller has already
-// established addr itself is outside both arenas).
-func (m *Memory) straddlesArena(addr, n uint32) bool {
-	for i := uint32(1); i < n; i++ {
-		a := addr + i
-		if a < uint32(len(m.lo)) || a-m.hiBase < uint32(len(m.hi)) {
-			return true
-		}
-	}
-	return false
 }
 
 // ReadBytes copies n bytes starting at addr into a new slice.
@@ -356,15 +382,19 @@ func (m *Memory) WriteBytes(addr uint32, b []byte) {
 // allocation regardless of use. Useful for space-overhead accounting in
 // benchmarks of the sparse store.
 func (m *Memory) PagesAllocated() int {
-	return len(m.pages)
+	return m.npages
 }
 
 // Reset returns the memory to all-zero in place: sparse pages are
-// dropped (the map's buckets are kept for reuse) and each arena is
-// zeroed only up to its dirty watermark, so recycling a machine costs
-// proportional to the bytes it actually wrote, not the arena sizes.
+// dropped with their directories (the table itself is left alone when no
+// page exists) and each arena is zeroed only up to its dirty watermark,
+// so recycling a machine costs proportional to the bytes it actually
+// wrote, not the arena sizes.
 func (m *Memory) Reset() {
-	clear(m.pages)
+	if m.npages > 0 {
+		clear(m.dir[:])
+		m.npages = 0
+	}
 	if m.loDirty > 0 {
 		clear(m.lo[:m.loDirty])
 		m.loDirty = 0

@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"encoding/binary"
 	"testing"
 	"testing/quick"
 )
@@ -277,3 +278,166 @@ func TestQuickDenseWord32RoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestArenaEdgeWalk walks every address within 8 bytes of each arena edge
+// and every address of the last page of the 32-bit space, writing and
+// reading each width at each address, and requires every result to match
+// a byte-wise reference. The lo arena is page-aligned in one geometry and
+// ends mid-page and mid-word in the other; the hi arena's top edge is
+// likewise odd in the second. Together they pin that an in-page word
+// starting outside both arenas never reaches into one, including around
+// the wrap past 0xffffffff.
+func TestArenaEdgeWalk(t *testing.T) {
+	for _, geo := range []Geometry{
+		{LoSize: 2 * PageSize, HiBase: 0x10000, HiSize: PageSize},
+		{LoSize: 2*PageSize + 5, HiBase: 0x10000, HiSize: PageSize + 3},
+	} {
+		m := NewDense(geo.LoSize, geo.HiBase, geo.HiSize)
+		ref := map[uint32]byte{}
+		refRead := func(a uint32, n int) uint32 {
+			var v uint32
+			for i := 0; i < n; i++ {
+				v |= uint32(ref[a+uint32(i)]) << (8 * i)
+			}
+			return v
+		}
+		var addrs []uint32
+		for _, e := range []uint32{0, geo.LoSize, geo.HiBase, geo.HiBase + geo.HiSize} {
+			for d := uint32(0); d <= 16; d++ {
+				addrs = append(addrs, e-8+d)
+			}
+		}
+		for a := uint32(0xfffff000 - 8); a != 0; a++ {
+			addrs = append(addrs, a)
+		}
+		check := func(a uint32) {
+			t.Helper()
+			if g, w := uint32(m.Read8(a)), refRead(a, 1); g != w {
+				t.Fatalf("%+v: Read8(%#x) = %#x, want %#x", geo, a, g, w)
+			}
+			if g, w := uint32(m.Read16(a)), refRead(a, 2); g != w {
+				t.Fatalf("%+v: Read16(%#x) = %#x, want %#x", geo, a, g, w)
+			}
+			if g, w := m.Read32(a), refRead(a, 4); g != w {
+				t.Fatalf("%+v: Read32(%#x) = %#x, want %#x", geo, a, g, w)
+			}
+		}
+		v := uint32(0x01020304)
+		for _, a := range addrs {
+			for _, n := range []int{1, 2, 4} {
+				check(a) // neighbours written earlier may overlap this word
+				v = v*1664525 + 1013904223
+				switch n {
+				case 1:
+					m.Write8(a, uint8(v))
+				case 2:
+					m.Write16(a, uint16(v))
+				case 4:
+					m.Write32(a, v)
+				}
+				for i := 0; i < n; i++ {
+					ref[a+uint32(i)] = uint8(v >> (8 * i))
+				}
+				check(a)
+			}
+		}
+		for _, a := range addrs {
+			check(a)
+		}
+	}
+}
+
+// TestPageTableDirectories spreads writes over several 4 MiB directories
+// and pins the page count, Reset dropping every page, and the table
+// being reusable afterwards.
+func TestPageTableDirectories(t *testing.T) {
+	var m Memory
+	for i := uint32(0); i < 4; i++ {
+		a := i<<22 + 0x1ffe // page-straddling word in each directory
+		m.Write32(a, 0xa0b0c0d0+i)
+		if got := m.Read32(a); got != 0xa0b0c0d0+i {
+			t.Fatalf("Read32(%#x) = %#x", a, got)
+		}
+	}
+	if got := m.PagesAllocated(); got != 8 {
+		t.Fatalf("PagesAllocated = %d, want 8", got)
+	}
+	m.Reset()
+	if got := m.PagesAllocated(); got != 0 {
+		t.Fatalf("after Reset, PagesAllocated = %d, want 0", got)
+	}
+	if got := m.Read32(3<<22 + 0x1ffe); got != 0 {
+		t.Fatalf("after Reset, Read32 = %#x, want 0", got)
+	}
+	m.Write8(0xffffffff, 7)
+	if got, n := m.Read8(0xffffffff), m.PagesAllocated(); got != 7 || n != 1 {
+		t.Fatalf("after reuse: Read8 = %d, PagesAllocated = %d; want 7, 1", got, n)
+	}
+}
+
+func TestSparseWord(t *testing.T) {
+	m := NewDense(2*PageSize+5, 0x10000, PageSize)
+	m.Write32(0x20000, 0x11223344) // materialise a sparse page
+	m.Write8(2*PageSize+5, 1)      // the page the lo arena ends in
+	for _, tc := range []struct {
+		addr uint32
+		ok   bool
+	}{
+		{0x20000, true},
+		{0x20000 + PageSize - 4, true},
+		{0x20000 + PageSize - 3, false}, // crosses into the next page
+		{0x30000, false},                // never written
+		{2*PageSize + 5, true},
+		{2*PageSize + 4, false}, // first byte in the lo arena
+		{0x10000, false},        // stack window
+		{0x10000 - 4, false},    // page never written
+	} {
+		if p := m.SparseWord(tc.addr); (p != nil) != tc.ok {
+			t.Errorf("SparseWord(%#x) = %v, want page %v", tc.addr, p != nil, tc.ok)
+		}
+	}
+	p := m.SparseWord(0x20000)
+	if got := binary.LittleEndian.Uint32(p[0:]); got != 0x11223344 {
+		t.Fatalf("word through SparseWord = %#x, want 0x11223344", got)
+	}
+	binary.LittleEndian.PutUint32(p[8:], 0x55667788)
+	if got := m.Read32(0x20008); got != 0x55667788 {
+		t.Fatalf("Read32 after in-place write = %#x, want 0x55667788", got)
+	}
+}
+
+// BenchmarkSparseWord32 measures 32-bit accesses outside both arenas of a
+// default-sized dense memory, strided over 64 KiB of materialised sparse
+// pages: the exact Read32/Write32 path and the SparseWord accessor the
+// tier-2 run loop inlines.
+func BenchmarkSparseWord32(b *testing.B) {
+	const base, span = 32 << 20, 64 << 10
+	m := NewDense(16<<20, 0x7fdf0000, 2<<20)
+	for a := uint32(0); a < span; a += PageSize {
+		m.Write32(base+a, a)
+	}
+	b.Run("Read32", func(b *testing.B) {
+		var s uint32
+		for i := 0; i < b.N; i++ {
+			s += m.Read32(base + uint32(i*4)%span)
+		}
+		sinkWord = s
+	})
+	b.Run("Write32", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			m.Write32(base+uint32(i*4)%span, uint32(i))
+		}
+	})
+	b.Run("SparseWord", func(b *testing.B) {
+		var s uint32
+		for i := 0; i < b.N; i++ {
+			a := base + uint32(i*4)%span
+			if p := m.SparseWord(a); p != nil {
+				s += binary.LittleEndian.Uint32(p[a%PageSize:])
+			}
+		}
+		sinkWord = s
+	})
+}
+
+var sinkWord uint32

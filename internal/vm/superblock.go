@@ -657,7 +657,11 @@ func (sb *superblock) run(m *Machine) error {
 							goto deopt
 						}
 					}
-					r[u.dst&15] = memv.Read32(lin)
+					if p := memv.SparseWord(lin); p != nil {
+						r[u.dst&15] = binary.LittleEndian.Uint32(p[lin%mem.PageSize:])
+					} else {
+						r[u.dst&15] = memv.Read32(lin)
+					}
 				}
 
 			case uLoad2:
@@ -717,7 +721,11 @@ func (sb *superblock) run(m *Machine) error {
 					}
 					lin := w.base[s] + ea
 					if !memv.Write32Fast(lin, r[u.src&15]+u.imm2) {
-						memv.Write32(lin, r[u.src&15]+u.imm2)
+						if p := memv.SparseWord(lin); p != nil {
+							binary.LittleEndian.PutUint32(p[lin%mem.PageSize:], r[u.src&15]+u.imm2)
+						} else {
+							memv.Write32(lin, r[u.src&15]+u.imm2)
+						}
 					}
 				} else {
 					lin, ldt, qok := mmu.QuickRef(x86seg.SegReg(u.seg), ea, 2, true)
@@ -731,7 +739,11 @@ func (sb *superblock) run(m *Machine) error {
 						}
 					}
 					if !memv.Write32Fast(lin, r[u.src&15]+u.imm2) {
-						memv.Write32(lin, r[u.src&15]+u.imm2)
+						if p := memv.SparseWord(lin); p != nil {
+							binary.LittleEndian.PutUint32(p[lin%mem.PageSize:], r[u.src&15]+u.imm2)
+						} else {
+							memv.Write32(lin, r[u.src&15]+u.imm2)
+						}
 					}
 				}
 
@@ -1076,7 +1088,11 @@ func (sb *superblock) run(m *Machine) error {
 					}
 					lin := w.base[x86seg.DS] + ea
 					if !memv.Write32Fast(lin, r[u.src&15]+u.imm2) {
-						memv.Write32(lin, r[u.src&15]+u.imm2)
+						if p := memv.SparseWord(lin); p != nil {
+							binary.LittleEndian.PutUint32(p[lin%mem.PageSize:], r[u.src&15]+u.imm2)
+						} else {
+							memv.Write32(lin, r[u.src&15]+u.imm2)
+						}
 					}
 				} else {
 					lin, ldt, qok := mmu.QuickRef(x86seg.DS, ea, 2, true)
@@ -1090,7 +1106,11 @@ func (sb *superblock) run(m *Machine) error {
 						}
 					}
 					if !memv.Write32Fast(lin, r[u.src&15]+u.imm2) {
-						memv.Write32(lin, r[u.src&15]+u.imm2)
+						if p := memv.SparseWord(lin); p != nil {
+							binary.LittleEndian.PutUint32(p[lin%mem.PageSize:], r[u.src&15]+u.imm2)
+						} else {
+							memv.Write32(lin, r[u.src&15]+u.imm2)
+						}
 					}
 				}
 
@@ -1113,6 +1133,8 @@ func (sb *superblock) run(m *Machine) error {
 					r[ESP] += 4
 					if v, fok := memv.Read32Fast(lin); fok {
 						r[u.dst&15] = v
+					} else if p := memv.SparseWord(lin); p != nil {
+						r[u.dst&15] = binary.LittleEndian.Uint32(p[lin%mem.PageSize:])
 					} else {
 						r[u.dst&15] = memv.Read32(lin)
 					}
